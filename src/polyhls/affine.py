@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     UnboundedDimensionError,
 )
+from .lexer import Cursor
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -894,26 +895,6 @@ class AffineMap:
         return format_map(self)
 
 
-def compose(outer, inner):
-    return outer.compose(inner)
-
-
-def fm_project(s, dim):
-    return s.project(dim)
-
-
-def is_empty(s):
-    return s.is_empty()
-
-
-def bounds_for_dim(s, dim):
-    return s.bounds_for_dim(dim)
-
-
-def apply_unimodular(set_or_map, matrix):
-    return set_or_map.apply_unimodular(matrix)
-
-
 # ---------------------------------------------------------------------------
 # Textual syntax: affine_map<(d0, d1)[s0] -> (...)> and
 # integer_set<(d0, d1)[s0] : (...)>
@@ -979,98 +960,20 @@ def format_set(s, dim_names=None, sym_names=None):
     return "integer_set<%s : (%s)>" % (hdr, ", ".join(parts))
 
 
-class _Lexer:
-    _KEYWORDS = ("floordiv", "ceildiv", "mod", "affine_map", "integer_set", "exists")
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.toks = []
-        self._lex()
-        self.idx = 0
-
-    def _lex(self):
-        t = self.text
-        i = 0
-        line, col = 1, 1
-        while i < len(t):
-            c = t[i]
-            if c in " \t\r\n":
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-                continue
-            start = (line, col)
-            if c.isdigit():
-                j = i
-                while j < len(t) and t[j].isdigit():
-                    j += 1
-                if j < len(t) and t[j] == "." and j + 1 < len(t) and t[j + 1].isdigit():
-                    j += 1
-                    while j < len(t) and t[j].isdigit():
-                        j += 1
-                    self.toks.append(("float", float(t[i:j]), start))
-                else:
-                    self.toks.append(("int", int(t[i:j]), start))
-                col += j - i
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                    j += 1
-                word = t[i:j]
-                self.toks.append(("kw" if word in self._KEYWORDS else "id", word, start))
-                col += j - i
-                i = j
-            elif t.startswith("//", i):
-                while i < len(t) and t[i] != "\n":
-                    i += 1
-            elif t.startswith("->", i):
-                self.toks.append(("op", "->", start))
-                i += 2
-                col += 2
-            elif t.startswith("<=", i) or t.startswith(">=", i) or t.startswith("==", i):
-                self.toks.append(("op", t[i:i + 2], start))
-                i += 2
-                col += 2
-            elif c in "()[]<>:,+-*;@{}.=#":
-                self.toks.append(("op", c, start))
-                i += 1
-                col += 1
-            else:
-                raise ParseError("unexpected character %r" % c, line, col)
-        self.toks.append(("eof", "", (line, col)))
-
-    def peek(self):
-        return self.toks[self.idx]
-
-    def next(self):
-        tok = self.toks[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, value):
-        kind, v, pos = self.next()
-        if v != value:
-            raise ParseError("expected %r, found %r" % (value, v), *pos)
-        return v
+# never a dim, symbol, existential, map or set name
+KEYWORDS = ("floordiv", "ceildiv", "mod", "affine_map", "integer_set", "exists")
 
 
 class _AffineParser:
-    def __init__(self, lexer, dim_names, sym_names):
-        self.lx = lexer
+    def __init__(self, cur, dim_names, sym_names):
+        self.cur = cur
         self.dims = dim_names
         self.syms = sym_names
 
     def expr(self):
         e = self.term()
-        while self.lx.peek()[1] in ("+", "-"):
-            op = self.lx.next()[1]
+        while self.cur.peek()[1] in ("+", "-"):
+            op = self.cur.next()[1]
             rhs = self.term()
             e = Add(e, rhs) if op == "+" else Add(e, Mul(rhs, -1))
         return e
@@ -1078,9 +981,9 @@ class _AffineParser:
     def term(self):
         e = self.unary()
         while True:
-            kind, v, pos = self.lx.peek()
+            kind, v, pos = self.cur.peek()
             if v == "*":
-                self.lx.next()
+                self.cur.next()
                 rhs = self.unary()
                 if isinstance(rhs, Const):
                     e = Mul(e, rhs.value)
@@ -1089,7 +992,7 @@ class _AffineParser:
                 else:
                     raise ParseError("non-affine product", *pos)
             elif v in ("floordiv", "ceildiv", "mod"):
-                self.lx.next()
+                self.cur.next()
                 rhs = self.unary()
                 rc = canon(rhs)
                 if not isinstance(rc, Const) or rc.value <= 0:
@@ -1099,14 +1002,14 @@ class _AffineParser:
                 return e
 
     def unary(self):
-        kind, v, pos = self.lx.peek()
+        kind, v, pos = self.cur.peek()
         if v == "-":
-            self.lx.next()
+            self.cur.next()
             return Mul(self.unary(), -1)
         return self.primary()
 
     def primary(self):
-        kind, v, pos = self.lx.next()
+        kind, v, pos = self.cur.next()
         if kind == "int":
             return Const(v)
         if kind == "id":
@@ -1117,83 +1020,69 @@ class _AffineParser:
             raise ParseError("unknown identifier %r" % v, *pos)
         if v == "(":
             e = self.expr()
-            self.lx.expect(")")
+            self.cur.expect(")")
             return e
         raise ParseError("unexpected token %r" % v, *pos)
 
 
-def _parse_name_list(lx, open_b, close_b):
-    names = []
-    lx.expect(open_b)
-    while lx.peek()[1] != close_b:
-        kind, v, pos = lx.next()
-        if kind != "id":
-            raise ParseError("expected identifier, found %r" % v, *pos)
-        names.append(v)
-        if lx.peek()[1] == ",":
-            lx.next()
-    lx.expect(close_b)
-    return names
-
-
-def _parse_space(lx):
-    dims = _parse_name_list(lx, "(", ")")
-    syms = _parse_name_list(lx, "[", "]") if lx.peek()[1] == "[" else []
+def _parse_space(cur):
+    dims = cur.names("(", ")", KEYWORDS)
+    syms = cur.names("[", "]", KEYWORDS) if cur.peek()[1] == "[" else []
     return dims, syms
 
 
 def parse_map(text):
     """Parse ``affine_map<(d0, d1)[s0] -> (exprs)>``."""
-    return parse_map_at(_Lexer(text))
+    return parse_map_at(Cursor(text))
 
 
-def parse_map_at(lx):
-    """Parse an affine_map starting at the lexer's current token."""
-    lx.expect("affine_map")
-    lx.expect("<")
-    dims, syms = _parse_space(lx)
-    lx.expect("->")
-    p = _AffineParser(lx, dims, syms)
-    lx.expect("(")
+def parse_map_at(cur):
+    """Parse an affine_map starting at the cursor's current token."""
+    cur.expect("affine_map")
+    cur.expect("<")
+    dims, syms = _parse_space(cur)
+    cur.expect("->")
+    p = _AffineParser(cur, dims, syms)
+    cur.expect("(")
     results = []
-    while lx.peek()[1] != ")":
+    while cur.peek()[1] != ")":
         results.append(p.expr())
-        if lx.peek()[1] == ",":
-            lx.next()
-    lx.expect(")")
-    lx.expect(">")
+        if cur.peek()[1] == ",":
+            cur.next()
+    cur.expect(")")
+    cur.expect(">")
     return AffineMap(len(dims), len(syms), tuple(results))
 
 
 def parse_set(text):
     """Parse ``integer_set<(d0)[s0] : (constraints)>``; each constraint is
     a binary ``>=``/``<=``/``==`` comparison between affine expressions."""
-    return parse_set_at(_Lexer(text))
+    return parse_set_at(Cursor(text))
 
 
-def parse_set_at(lx):
-    """Parse an integer_set starting at the lexer's current token."""
-    lx.expect("integer_set")
-    lx.expect("<")
-    dims, syms = _parse_space(lx)
+def parse_set_at(cur):
+    """Parse an integer_set starting at the cursor's current token."""
+    cur.expect("integer_set")
+    cur.expect("<")
+    dims, syms = _parse_space(cur)
     exists = []
-    if lx.peek()[1] == "exists":
-        lx.next()
-        exists = _parse_name_list(lx, "(", ")")
-    lx.expect(":")
-    p = _AffineParser(lx, dims + exists, syms)
-    lx.expect("(")
+    if cur.peek()[1] == "exists":
+        cur.next()
+        exists = cur.names("(", ")", KEYWORDS)
+    cur.expect(":")
+    p = _AffineParser(cur, dims + exists, syms)
+    cur.expect("(")
     cons = []
-    while lx.peek()[1] != ")":
+    while cur.peek()[1] != ")":
         lhs = p.expr()
-        kind, v, pos = lx.next()
+        kind, v, pos = cur.next()
         if v not in (">=", "<=", "=="):
             raise ParseError("expected comparison, found %r" % v, *pos)
         rhs = p.expr()
         diff = Add(lhs, Mul(rhs, -1)) if v in (">=", "==") else Add(rhs, Mul(lhs, -1))
         cons.append((diff, EQ if v == "==" else INEQ))
-        if lx.peek()[1] == ",":
-            lx.next()
-    lx.expect(")")
-    lx.expect(">")
+        if cur.peek()[1] == ",":
+            cur.next()
+    cur.expect(")")
+    cur.expect(">")
     return IntegerSet.from_constraints(len(dims), len(syms), cons, num_exists=len(exists))

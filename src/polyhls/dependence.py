@@ -141,10 +141,6 @@ def compute_dependences(scop):
     return deps
 
 
-def distance_vector(dep):
-    return dep.distance
-
-
 def is_loop_parallel(scop, deps, loop_dim):
     """True iff no dependence is carried at the given schedule loop dim
     (index into `scop.loop_levels()`)."""

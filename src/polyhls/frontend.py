@@ -1,4 +1,5 @@
-"""Lexer/parser/printer for the restricted C-like input language.
+"""Parser/printer for the restricted C-like input language; the tokens
+come from :mod:`polyhls.lexer`.
 
 The language covers SCoP-shaped kernels: scalar ``int`` declarations act as
 size parameters, arrays are 1-D/2-D/3-D ``int``/``float``, loops are
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError, UnsupportedConstructError
+from .lexer import Cursor
 
 INT64 = "int64"
 FLOAT64 = "float64"
@@ -113,117 +115,33 @@ class Program:
         raise KeyError(name)
 
 
-# -- lexer ------------------------------------------------------------------
+# -- parser -----------------------------------------------------------------
 
-_PUNCT2 = ("<=", ">=", "==", "++", "+=", "-=", "*=", "/=", "--")
-_PUNCT1 = "()[]{};:=<>+-*/,#"
-_KEYWORDS = {"int", "float", "for", "if", "else", "pragma", "while", "do", "return"}
-
-
-def _tokenize(source):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start = (line, col)
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            isfloat = False
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                if source[j] == ".":
-                    isfloat = True
-                j += 1
-            text = source[i:j]
-            if isfloat:
-                toks.append(("float", float(text), start))
-            else:
-                toks.append(("int", int(text), start))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            toks.append(("kw" if word in _KEYWORDS else "id", word, start))
-            col += j - i
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in _PUNCT2:
-            toks.append(("op", two, start))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            toks.append(("op", c, start))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % c, line, col)
-    toks.append(("eof", "", (line, col)))
-    return toks
+# never a declared, loop, label or referenced name
+KEYWORDS = ("int", "float", "for", "if", "else", "pragma", "while", "do", "return")
 
 
 class _Parser:
-    def __init__(self, source):
-        self.toks = _tokenize(source)
-        self.idx = 0
-
-    def peek(self, ahead=0):
-        return self.toks[min(self.idx + ahead, len(self.toks) - 1)]
-
-    def next(self):
-        t = self.toks[self.idx]
-        self.idx += 1
-        return t
-
-    def expect(self, value):
-        kind, v, pos = self.next()
-        if v != value:
-            raise ParseError("expected %r, found %r" % (value, v), *pos)
-        return pos
-
-    def error(self, msg):
-        _, _, pos = self.peek()
-        raise ParseError(msg, *pos)
+    def __init__(self, cur):
+        self.cur = cur
 
     # -- declarations --
 
     def program(self):
         symbols, arrays = [], []
-        while self.peek()[1] in ("int", "float"):
-            elem = INT64 if self.next()[1] == "int" else FLOAT64
-            kind, name, pos = self.next()
-            if kind != "id":
-                raise ParseError("expected name in declaration", *pos)
+        while self.cur.peek()[1] in ("int", "float"):
+            elem = INT64 if self.cur.next()[1] == "int" else FLOAT64
+            pos = self.cur.peek()[2]
+            name = self.cur.name(KEYWORDS, "name in declaration")
             extents = []
-            while self.peek()[1] == "[":
-                self.next()
-                k, v, p = self.next()
-                if k == "int":
-                    extents.append(v)
-                elif k == "id":
-                    extents.append(v)
+            while self.cur.peek()[1] == "[":
+                self.cur.next()
+                if self.cur.peek()[0] == "int":
+                    extents.append(self.cur.next()[1])
                 else:
-                    raise ParseError("array extent must be a size parameter or constant", *p)
-                self.expect("]")
-            self.expect(";")
+                    extents.append(self.cur.name(KEYWORDS, "size parameter or constant"))
+                self.cur.expect("]")
+            self.cur.expect(";")
             if extents:
                 arrays.append(ArrayDecl(name, elem, tuple(extents)))
             else:
@@ -231,7 +149,7 @@ class _Parser:
                     raise UnsupportedConstructError("size parameters must be int", *pos)
                 symbols.append(name)
         body = []
-        while self.peek()[0] != "eof":
+        while self.cur.peek()[0] != "eof":
             body.append(self.stmt())
         for a in arrays:
             for e in a.extents:
@@ -245,7 +163,7 @@ class _Parser:
     # -- statements --
 
     def stmt(self):
-        kind, v, pos = self.peek()
+        kind, v, pos = self.cur.peek()
         if v == "#":
             return self.pragma()
         if v == "for":
@@ -255,27 +173,27 @@ class _Parser:
         if v == "while" or v == "do":
             raise UnsupportedConstructError("'%s' loops are not supported" % v, *pos)
         if v == "{":
-            self.error("blocks are only allowed as loop/if bodies")
+            self.cur.error("blocks are only allowed as loop/if bodies")
         return self.assign()
 
     def block_or_stmt(self):
-        if self.peek()[1] == "{":
-            self.next()
+        if self.cur.peek()[1] == "{":
+            self.cur.next()
             body = []
-            while self.peek()[1] != "}":
-                if self.peek()[0] == "eof":
-                    self.error("unterminated block")
+            while self.cur.peek()[1] != "}":
+                if self.cur.peek()[0] == "eof":
+                    self.cur.error("unterminated block")
                 body.append(self.stmt())
-            self.next()
+            self.cur.next()
             return tuple(body)
         return (self.stmt(),)
 
     def pragma(self):
-        pos = self.expect("#")
-        kind, v, p = self.next()
+        pos = self.cur.expect("#")
+        kind, v, p = self.cur.next()
         if v != "pragma":
             raise ParseError("expected 'pragma'", *p)
-        kind, which, p = self.next()
+        kind, which, p = self.cur.next()
         if which == "scop":
             return ScopBegin(pos)
         if which == "endscop":
@@ -283,131 +201,136 @@ class _Parser:
         raise UnsupportedConstructError("unknown pragma %r" % which, *p)
 
     def for_stmt(self):
-        kind, _, pos = self.next()
-        self.expect("(")
-        k, var, p = self.next()
-        if k != "id":
-            raise ParseError("expected loop variable", *p)
-        self.expect("=")
+        kind, _, pos = self.cur.next()
+        self.cur.expect("(")
+        var = self.cur.name(KEYWORDS, "loop variable")
+        self.cur.expect("=")
         lower = self.expr()
-        self.expect(";")
-        k, v2, p = self.next()
+        self.cur.expect(";")
+        k, v2, p = self.cur.next()
         if v2 != var:
             raise ParseError("loop condition must test %r" % var, *p)
-        k, cmp_op, p = self.next()
+        k, cmp_op, p = self.cur.next()
         if cmp_op not in ("<", "<="):
             raise UnsupportedConstructError("loop condition must use < or <=", *p)
         bound = self.expr()
         upper = bound if cmp_op == "<" else BinOp("+", bound, IntLit(1))
-        self.expect(";")
-        k, v3, p = self.next()
+        self.cur.expect(";")
+        k, v3, p = self.cur.next()
         if v3 != var:
             raise ParseError("loop increment must update %r" % var, *p)
-        k, inc, p = self.next()
+        k, inc, p = self.cur.next()
         if inc == "++":
             pass
         elif inc == "+=":
-            k2, step, p2 = self.next()
+            k2, step, p2 = self.cur.next()
             if k2 != "int" or step != 1:
                 raise UnsupportedConstructError("only unit loop steps are supported", *p2)
         else:
             raise UnsupportedConstructError("only incrementing unit-step loops are supported", *p)
-        self.expect(")")
+        self.cur.expect(")")
         body = self.block_or_stmt()
         return For(var, lower, upper, body, pos)
 
     def if_stmt(self):
-        kind, _, pos = self.next()
-        self.expect("(")
+        kind, _, pos = self.cur.next()
+        self.cur.expect("(")
         lhs = self.expr()
-        k, op, p = self.next()
+        k, op, p = self.cur.next()
         if op not in ("<", "<=", ">", ">=", "=="):
             raise UnsupportedConstructError("unsupported comparison %r" % op, *p)
         rhs = self.expr()
-        self.expect(")")
+        self.cur.expect(")")
         then = self.block_or_stmt()
         els = ()
-        if self.peek()[1] == "else":
-            self.next()
+        if self.cur.peek()[1] == "else":
+            self.cur.next()
             els = self.block_or_stmt()
         return If(op, lhs, rhs, then, els, pos)
 
     def assign(self):
+        stmt = self.assignment()
+        self.cur.expect(";")
+        return stmt
+
+    def assignment(self):
+        """``[label ":"] ref "=" expr`` without the closing ``;``."""
         label = ""
-        if self.peek()[0] == "id" and self.peek(1)[1] == ":":
-            label = self.next()[1]
-            self.next()
-        kind, name, pos = self.next()
-        if kind != "id":
-            raise ParseError("expected an assignment", *pos)
-        if self.peek()[1] != "[":
+        if self.cur.peek(1)[1] == ":":
+            label = self.cur.name(KEYWORDS, "statement label")
+            self.cur.next()
+        pos = self.cur.peek()[2]
+        name = self.cur.name(KEYWORDS, "an assignment")
+        if self.cur.peek()[1] != "[":
             raise UnsupportedConstructError("scalar assignment is not supported", *pos)
-        subs = []
-        while self.peek()[1] == "[":
-            self.next()
-            subs.append(self.expr())
-            self.expect("]")
-        k, op, p = self.next()
+        ref = ArrayRef(name, self.subscripts())
+        k, op, p = self.cur.next()
         if op in ("+=", "-=", "*=", "/="):
             raise UnsupportedConstructError("compound assignment %r is not supported" % op, *p)
         if op != "=":
             raise ParseError("expected '='", *p)
-        rhs = self.expr()
-        self.expect(";")
-        return Assign(label, ArrayRef(name, tuple(subs)), rhs, pos)
+        return Assign(label, ref, self.expr(), pos)
 
     # -- expressions --
 
+    def subscripts(self):
+        subs = []
+        while self.cur.peek()[1] == "[":
+            self.cur.next()
+            subs.append(self.expr())
+            self.cur.expect("]")
+        return tuple(subs)
+
     def expr(self):
         e = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+        while self.cur.peek()[1] in ("+", "-"):
+            op = self.cur.next()[1]
             e = BinOp(op, e, self.term())
         return e
 
     def term(self):
         e = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            k, op, p = self.next()
+        while self.cur.peek()[1] in ("*", "/"):
+            k, op, p = self.cur.next()
             if op == "/":
                 raise UnsupportedConstructError("division is not supported in the input language", *p)
             e = BinOp("*", e, self.unary())
         return e
 
     def unary(self):
-        if self.peek()[1] == "-":
-            self.next()
+        if self.cur.peek()[1] == "-":
+            self.cur.next()
             return BinOp("-", IntLit(0), self.unary())
         return self.primary()
 
     def primary(self):
-        kind, v, pos = self.next()
+        kind, v, pos = self.cur.next()
         if kind == "int":
             return IntLit(v)
         if kind == "float":
             return FloatLit(v)
-        if kind == "id":
-            if self.peek()[1] == "[":
-                subs = []
-                while self.peek()[1] == "[":
-                    self.next()
-                    subs.append(self.expr())
-                    self.expect("]")
-                return ArrayRef(v, tuple(subs))
+        if kind == "id" and v not in KEYWORDS:
+            if self.cur.peek()[1] == "[":
+                return ArrayRef(v, self.subscripts())
             return Name(v)
         if v == "(":
             e = self.expr()
-            self.expect(")")
+            self.cur.expect(")")
             return e
         raise ParseError("unexpected token %r" % (v,), *pos)
 
 
 def parse_program(source):
     """Parse `.pc` source into a :class:`Program`."""
-    p = _Parser(source)
-    prog = p.program()
+    prog = _Parser(Cursor(source)).program()
     _check_scop_pairing(prog.body)
     return prog
+
+
+def parse_assignment_at(cur):
+    """Parse an assignment without its closing ``;`` at the cursor's
+    current token (the body of an ``.air`` stmt)."""
+    return _Parser(cur).assignment()
 
 
 def _check_scop_pairing(body, depth=0, top=True):

@@ -19,7 +19,7 @@ from . import hls
 from .affine import eval_expr
 from .errors import InterpError
 from .ir import AffineIrModule, Call, For, If
-from .scop import Scop
+from .scop import Scop, stmt_names
 
 
 @dataclass
@@ -150,39 +150,13 @@ def _exec_assign(assign, env, machine, where):
 # source Program
 
 
-def _assign_names(program):
-    """Textual-order S1, S2, ... naming per SCoP (labels override),
-    matching scop extraction."""
-    names = {}
-
-    def walk(nodes, counter, in_scop):
-        for node in nodes:
-            if isinstance(node, fe.ScopBegin):
-                in_scop = True
-                counter[0] = 0
-            elif isinstance(node, fe.ScopEnd):
-                in_scop = False
-            elif isinstance(node, fe.For):
-                in_scop = walk(node.body, counter, in_scop)
-            elif isinstance(node, fe.If):
-                in_scop = walk(node.then, counter, in_scop)
-                in_scop = walk(node.els, counter, in_scop)
-            elif isinstance(node, fe.Assign):
-                counter[0] += 1
-                names[id(node)] = node.label or "S%d" % counter[0]
-        return in_scop
-
-    walk(program.body, [0], False)
-    return names
-
-
 _CMP = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
         ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
         "==": lambda a, b: a == b}
 
 
 def _run_program(program, machine):
-    names = _assign_names(program)
+    names = stmt_names(program.body)
 
     def exec_stmts(nodes, env):
         for node in nodes:

@@ -9,13 +9,20 @@ it, so print/parse round-trips are the identity.
 
 File extension: ``.air``.
 
+The text is read with the one tokenizer of :mod:`polyhls.lexer`, which the
+``.pc`` frontend and the affine map/set syntax share; a stmt body is parsed
+in place by the frontend assignment grammar, so its errors carry ``.air``
+line and column.  Float literals in stmt bodies are C decimal floats with
+an optional exponent (``0.5``, ``1e-05``, ``1e+17``), which covers every
+value Python's ``repr`` prints.
+
 Grammar sketch::
 
     module    := mapdef* "module" "{" decl* op* "}"
     mapdef    := "#" NAME "=" affine_map | "#" NAME "=" integer_set
     decl      := "symbol" NAME
                | "array" NAME ":" ("int64"|"float64") ("[" extent "]")+
-               | "stmt" NAME "(" params ")" "{" assignment "}"
+               | "stmt" NAME "(" params ")" "{" assignment ";"? "}"
     op        := ("affine.for" | "affine.parallel_for") NAME "="
                    "max" mapref "to" "min" mapref "{" op* "}"
                | "affine.if" setref "{" op* "}" ("else" "{" op* "}")?
@@ -29,11 +36,11 @@ from dataclasses import dataclass, replace
 
 from . import frontend as fe
 from .affine import (
+    KEYWORDS,
     AffineMap,
     Add,
     Const,
     IntegerSet,
-    _Lexer,
     canon,
     format_expr,
     format_map,
@@ -42,6 +49,7 @@ from .affine import (
     parse_set_at,
 )
 from .errors import ParseError
+from .lexer import Cursor
 
 
 @dataclass(frozen=True)
@@ -203,119 +211,84 @@ def print_ir(module):
 
 class _IrParser:
     def __init__(self, text):
-        self.lx = _Lexer(text)
+        self.cur = Cursor(text)
         self.maps = {}
         self.sets = {}
 
     def parse(self):
-        lx = self.lx
-        while lx.peek()[1] == "#":
-            lx.next()
-            kind, name, pos = lx.next()
-            if kind != "id":
-                raise ParseError("expected map/set name after '#'", *pos)
-            lx.expect("=")
-            k, v, p = lx.peek()
+        cur = self.cur
+        while cur.peek()[1] == "#":
+            cur.next()
+            name = cur.name(KEYWORDS, "map/set name after '#'")
+            cur.expect("=")
+            k, v, p = cur.peek()
             if v == "affine_map":
-                self.maps[name] = parse_map_at(lx)
+                self.maps[name] = parse_map_at(cur)
             elif v == "integer_set":
-                self.sets[name] = parse_set_at(lx)
+                self.sets[name] = parse_set_at(cur)
             else:
                 raise ParseError("expected affine_map or integer_set", *p)
-        lx.expect("module")
-        lx.expect("{")
+        cur.expect("module")
+        cur.expect("{")
         symbols, arrays, stmts = [], [], []
-        while lx.peek()[1] in ("symbol", "array", "stmt"):
-            which = lx.next()[1]
+        while cur.peek()[1] in ("symbol", "array", "stmt"):
+            which = cur.next()[1]
             if which == "symbol":
-                symbols.append(self._ident())
+                symbols.append(cur.name())
             elif which == "array":
                 arrays.append(self._array())
             else:
                 stmts.append(self._stmtdef())
         body = []
-        while lx.peek()[1] != "}":
-            if lx.peek()[0] == "eof":
+        while cur.peek()[1] != "}":
+            if cur.peek()[0] == "eof":
                 raise ParseError("unterminated module")
             body.append(self._op())
-        lx.next()
+        cur.next()
         return AffineIrModule(tuple(symbols), tuple(arrays), tuple(stmts), tuple(body))
 
-    def _ident(self):
-        kind, v, pos = self.lx.next()
-        if kind not in ("id", "kw"):
-            raise ParseError("expected identifier, found %r" % v, *pos)
-        return v
-
     def _array(self):
-        name = self._ident()
-        self.lx.expect(":")
-        kind, elem, pos = self.lx.next()
+        name = self.cur.name()
+        self.cur.expect(":")
+        kind, elem, pos = self.cur.next()
         if elem not in (fe.INT64, fe.FLOAT64):
             raise ParseError("element type must be int64 or float64", *pos)
         extents = []
-        while self.lx.peek()[1] == "[":
-            self.lx.next()
-            k, v, p = self.lx.next()
-            if k not in ("id", "int"):
-                raise ParseError("bad array extent", *p)
-            extents.append(v)
-            self.lx.expect("]")
+        while self.cur.peek()[1] == "[":
+            self.cur.next()
+            if self.cur.peek()[0] == "int":
+                extents.append(self.cur.next()[1])
+            else:
+                extents.append(self.cur.name(KEYWORDS, "array extent"))
+            self.cur.expect("]")
         if not extents:
             raise ParseError("array %s needs at least one extent" % name)
         return fe.ArrayDecl(name, elem, tuple(extents))
 
     def _stmtdef(self):
-        name = self._ident()
-        self.lx.expect("(")
-        params = []
-        while self.lx.peek()[1] != ")":
-            params.append(self._ident())
-            if self.lx.peek()[1] == ",":
-                self.lx.next()
-        self.lx.next()
-        self.lx.expect("{")
-        # reuse the frontend expression grammar for the assignment template
-        text_toks = []
-        depth = 1
-        while True:
-            kind, v, pos = self.lx.next()
-            if kind == "eof":
-                raise ParseError("unterminated stmt body", *pos)
-            if v == "{":
-                depth += 1
-            elif v == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            text_toks.append((kind, v))
-        src = " ".join(str(v) for _, v in text_toks)
-        try:
-            stmt = _parse_assignment(src)
-        except ParseError as e:
-            raise ParseError("in stmt %s: %s" % (name, e))
-        return StmtDef(name, tuple(params), stmt)
+        name = self.cur.name()
+        params = self.cur.names("(", ")")
+        self.cur.expect("{")
+        body = fe.parse_assignment_at(self.cur)
+        if self.cur.peek()[1] == ";":
+            self.cur.next()
+        self.cur.expect("}")
+        return StmtDef(name, tuple(params), body)
 
     def _op(self):
-        lx = self.lx
-        kind, v, pos = lx.peek()
+        cur = self.cur
+        kind, v, pos = cur.peek()
         if v == "affine":
-            lx.next()
-            lx.expect(".")
-            k2, which, p2 = lx.next()
+            cur.next()
+            cur.expect(".")
+            k2, which, p2 = cur.next()
             if which in ("for", "parallel_for"):
-                var = self._ident()
-                lx.expect("=")
-                kw = lx.next()
-                if kw[1] != "max":
-                    raise ParseError("expected 'max'", *kw[2])
+                var = cur.name()
+                cur.expect("=")
+                cur.expect("max")
                 lb = self._mapref()
-                to = lx.next()
-                if to[1] != "to":
-                    raise ParseError("expected 'to'", *to[2])
-                kw = lx.next()
-                if kw[1] != "min":
-                    raise ParseError("expected 'min'", *kw[2])
+                cur.expect("to")
+                cur.expect("min")
                 ub = self._mapref()
                 body = self._block()
                 return For(var, lb, replace(ub, map=_unshift_ub(ub.map)),
@@ -324,55 +297,36 @@ class _IrParser:
                 cond = self._setref()
                 then = self._block()
                 els = ()
-                if lx.peek()[1] == "else":
-                    lx.next()
+                if cur.peek()[1] == "else":
+                    cur.next()
                     els = self._block()
                 return If(cond, then, els)
             raise ParseError("unknown affine op %r" % which, *p2)
         if v == "call":
-            lx.next()
-            lx.expect("@")
-            name = self._ident()
-            lx.expect("(")
-            args = []
-            while lx.peek()[1] != ")":
-                args.append(self._ident())
-                if lx.peek()[1] == ",":
-                    lx.next()
-            lx.next()
-            return Call(name, tuple(args))
+            cur.next()
+            cur.expect("@")
+            name = cur.name()
+            return Call(name, tuple(cur.names("(", ")")))
         raise ParseError("expected an op, found %r" % v, *pos)
 
     def _block(self):
-        self.lx.expect("{")
+        self.cur.expect("{")
         body = []
-        while self.lx.peek()[1] != "}":
-            if self.lx.peek()[0] == "eof":
+        while self.cur.peek()[1] != "}":
+            if self.cur.peek()[0] == "eof":
                 raise ParseError("unterminated block")
             body.append(self._op())
-        self.lx.next()
+        self.cur.next()
         return tuple(body)
 
     def _operands(self):
-        dims, syms = [], []
-        self.lx.expect("(")
-        while self.lx.peek()[1] != ")":
-            dims.append(self._ident())
-            if self.lx.peek()[1] == ",":
-                self.lx.next()
-        self.lx.next()
-        if self.lx.peek()[1] == "[":
-            self.lx.next()
-            while self.lx.peek()[1] != "]":
-                syms.append(self._ident())
-                if self.lx.peek()[1] == ",":
-                    self.lx.next()
-            self.lx.next()
+        dims = self.cur.names("(", ")")
+        syms = self.cur.names("[", "]") if self.cur.peek()[1] == "[" else ()
         return tuple(dims), tuple(syms)
 
     def _mapref(self):
-        self.lx.expect("#")
-        kind, name, pos = self.lx.next()
+        self.cur.expect("#")
+        kind, name, pos = self.cur.next()
         if name not in self.maps:
             raise ParseError("unknown map reference #%s" % name, *pos)
         m = self.maps[name]
@@ -382,8 +336,8 @@ class _IrParser:
         return MapRef(m, dims, syms)
 
     def _setref(self):
-        self.lx.expect("#")
-        kind, name, pos = self.lx.next()
+        self.cur.expect("#")
+        kind, name, pos = self.cur.next()
         if name not in self.sets:
             raise ParseError("unknown set reference #%s" % name, *pos)
         s = self.sets[name]
@@ -391,16 +345,6 @@ class _IrParser:
         if len(dims) != s.num_dims or len(syms) != s.num_syms:
             raise ParseError("set #%s applied with wrong operand counts" % name, *pos)
         return SetRef(s, dims, syms)
-
-
-def _parse_assignment(src):
-    if not src.rstrip().endswith(";"):
-        src = src + " ;"
-    p = fe._Parser(src)
-    stmt = p.assign()
-    if p.peek()[0] != "eof":
-        raise ParseError("trailing tokens in assignment")
-    return stmt
 
 
 def parse_ir(text):

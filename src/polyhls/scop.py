@@ -156,10 +156,35 @@ def extract_scops(program, assumptions=()):
     return scops
 
 
+def stmt_names(nodes):
+    """Name of each assignment in `nodes`, keyed by ``id``: S1, S2, ... in
+    textual order, counted afresh after each ``#pragma scop``; a label
+    overrides."""
+    names = {}
+    count = 0
+
+    def walk(nodes):
+        nonlocal count
+        for node in nodes:
+            if isinstance(node, fe.ScopBegin):
+                count = 0
+            elif isinstance(node, fe.For):
+                walk(node.body)
+            elif isinstance(node, fe.If):
+                walk(node.then)
+                walk(node.els)
+            elif isinstance(node, fe.Assign):
+                count += 1
+                names[id(node)] = node.label or "S%d" % count
+
+    walk(nodes)
+    return names
+
+
 def _build_scop(program, region, name, assumptions):
     symbols = program.symbols
     stmts = []
-    counter = [0]
+    names = stmt_names(region)
 
     def walk(nodes, loops, conds, path):
         # path: textual-position constants accumulated so far (len(loops)+1
@@ -181,7 +206,8 @@ def _build_scop(program, region, name, assumptions):
                 if node.els:
                     walk(node.els, loops, conds + _cond_constraints(conv, node, negate=True), path)
             elif isinstance(node, fe.Assign):
-                stmts.append(_build_stmt(program, node, loops, conds, path + [pos], counter))
+                stmts.append(_build_stmt(program, node, names[id(node)], loops, conds,
+                                         path + [pos]))
                 pos += 1
             elif isinstance(node, (fe.ScopBegin, fe.ScopEnd)):
                 raise ParseError("nested #pragma scop", *node.pos)
@@ -189,14 +215,13 @@ def _build_scop(program, region, name, assumptions):
                 raise NonAffineError("unsupported statement inside SCoP")
 
     walk(region, [], [], [])
-    names = [s.name for s in stmts]
-    if len(set(names)) != len(names):
+    if len({s.name for s in stmts}) != len(stmts):
         raise ParseError("duplicate statement name in SCoP %s" % name)
     return Scop(name, symbols, default_context(symbols, assumptions), tuple(stmts),
                 arrays=program.arrays)
 
 
-def _build_stmt(program, assign, loops, conds, path, counter):
+def _build_stmt(program, assign, name, loops, conds, path):
     symbols = program.symbols
     vars_ = [v for v, _, _ in loops]
     conv = _AffineConv(vars_, symbols)
@@ -243,8 +268,6 @@ def _build_stmt(program, assign, loops, conds, path, counter):
                 raise NonAffineError("unknown identifier %r" % e.ident)
 
     collect_reads(assign.rhs)
-    counter[0] += 1
-    name = assign.label or "S%d" % counter[0]
     return PolyStmt(
         name=name,
         domain=domain,

@@ -16,18 +16,13 @@ from polyhls.affine import (
     Mod,
     Mul,
     SymRef,
-    apply_unimodular,
-    bounds_for_dim,
     canon,
     ceildiv,
-    compose,
     eval_expr,
     floordiv,
-    fm_project,
     format_expr,
     format_map,
     format_set,
-    is_empty,
     parse_map,
     parse_set,
 )
@@ -35,6 +30,7 @@ from polyhls.errors import (
     ArityMismatchError,
     MalformedExpressionError,
     NonUnimodularMatrixError,
+    ParseError,
     UnboundedDimensionError,
 )
 
@@ -91,11 +87,21 @@ class TestCanonAndFormat:
         assert m.eval((), (32,)) == (2,)
         assert m.eval((), (33,)) == (3,)
 
+    @pytest.mark.parametrize("text", [
+        "affine_map<(floordiv) -> (0)>",
+        "affine_map<(d0)[mod] -> (d0)>",
+        "integer_set<(d0) exists (ceildiv) : (d0 >= 0)>",
+    ])
+    def test_reserved_words_rejected_as_names(self, text):
+        parse = parse_map if text.startswith("affine_map") else parse_set
+        with pytest.raises(ParseError, match="expected identifier"):
+            parse(text)
+
 
 class TestProject:
     def test_box_projection(self):
         s = box([(1, 3), (1, 3)])
-        p = fm_project(s, 1)
+        p = s.project(1)
         assert p.points() == {(i,) for i in range(1, 4)}
 
     def test_diagonal_slice(self):
@@ -104,7 +110,7 @@ class TestProject:
                 (Add(DimRef(1), Const(-1)), INEQ),
                 (Add(Const(3), Mul(DimRef(1), -1)), INEQ)]
         s = IntegerSet.from_constraints(2, 0, cons)
-        assert fm_project(s, 1).points() == {(1,), (2,), (3,)}
+        assert s.project(1).points() == {(1,), (2,), (3,)}
 
     def test_stencil_domain_projection(self):
         # {1 <= i,j <= N-1} project j -> {1 <= i <= N-1}
@@ -113,7 +119,7 @@ class TestProject:
             cons.append((Add(DimRef(d), Const(-1)), INEQ))
             cons.append((Add(SymRef(0), Add(Mul(DimRef(d), -1), Const(-1))), INEQ))
         s = IntegerSet.from_constraints(2, 1, cons)
-        p = fm_project(s, 1)
+        p = s.project(1)
         for n in (2, 5, 9):
             assert p.points((n,)) == {(i,) for i in range(1, n)}
 
@@ -122,21 +128,21 @@ class TestProject:
     def test_project_commutes_with_enumeration_on_boxes(self, bs):
         bounds = [(min(a, b), max(a, b)) for a, b in bs]
         s = box(bounds)
-        projected = fm_project(s, 1).points()
+        projected = s.project(1).points()
         direct = {(p[0],) for p in s.points()}
         assert projected == direct
 
 
 class TestIsEmpty:
     def test_contradictory_bounds(self):
-        assert is_empty(box([(1, 0)]))
+        assert box([(1, 0)]).is_empty()
 
     def test_diagonal_nonempty(self):
         cons = [(Add(DimRef(0), Mul(DimRef(1), -1)), EQ),
                 (Add(DimRef(0), Const(-1)), INEQ),
                 (Add(Const(3), Mul(DimRef(1), -1)), INEQ)]
         s = IntegerSet.from_constraints(2, 0, cons)
-        assert not is_empty(s)
+        assert not s.is_empty()
 
     def test_exact_when_symbols_fixed(self):
         # 2i = 2j + 1 has no integer solutions, though rationally feasible
@@ -144,7 +150,7 @@ class TestIsEmpty:
                 (DimRef(0), INEQ), (Add(Const(4), Mul(DimRef(0), -1)), INEQ),
                 (DimRef(1), INEQ), (Add(Const(4), Mul(DimRef(1), -1)), INEQ)]
         s = IntegerSet.from_constraints(2, 0, cons)
-        assert is_empty(s)
+        assert s.is_empty()
 
 
 class TestBoundsForDim:
@@ -152,7 +158,7 @@ class TestBoundsForDim:
         cons = [(Add(DimRef(0), Const(-1)), INEQ),
                 (Add(SymRef(0), Add(Mul(DimRef(0), -1), Const(-1))), INEQ)]
         s = IntegerSet.from_constraints(1, 1, cons)
-        lo, up = bounds_for_dim(s, 0)
+        lo, up = s.bounds_for_dim(0)
         assert [format_expr(e) for e in lo] == ["1"]
         assert [format_expr(e) for e in up] == ["s0 - 1"]
 
@@ -161,7 +167,7 @@ class TestBoundsForDim:
         cons = [(DimRef(0), INEQ),
                 (Add(Const(7), Mul(DimRef(0), -2)), INEQ)]
         s = IntegerSet.from_constraints(1, 0, cons)
-        lo, up = bounds_for_dim(s, 0)
+        lo, up = s.bounds_for_dim(0)
         assert [eval_expr(e) for e in lo] == [0]
         assert [eval_expr(e) for e in up] == [3]
 
@@ -169,7 +175,7 @@ class TestBoundsForDim:
         cons = [(DimRef(0), INEQ)]
         s = IntegerSet.from_constraints(1, 0, cons)
         with pytest.raises(UnboundedDimensionError):
-            bounds_for_dim(s, 0)
+            s.bounds_for_dim(0)
 
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 5)),
                     min_size=2, max_size=3))
@@ -182,7 +188,7 @@ class TestBoundsForDim:
             if k == len(bounds):
                 yield tuple(outer)
                 return
-            lo, up = bounds_for_dim(s, k)
+            lo, up = s.bounds_for_dim(k)
             a = max(eval_expr(e, outer) for e in lo)
             b = min(eval_expr(e, outer) for e in up)
             for v in range(a, b + 1):
@@ -194,12 +200,12 @@ class TestBoundsForDim:
 class TestCompose:
     def test_identity(self):
         m = parse_map("affine_map<(d0, d1) -> (d0 + d1, d1)>")
-        assert compose(AffineMap.identity(2), m) == m
+        assert AffineMap.identity(2).compose(m) == m
 
     def test_tileindex_of_sum(self):
         outer = parse_map("affine_map<(d0) -> (d0 floordiv 32)>")
         inner = parse_map("affine_map<(d0, d1) -> (d0 + d1)>")
-        c = compose(outer, inner)
+        c = outer.compose(inner)
         import random
         rng = random.Random(5)
         for _ in range(20):
@@ -208,28 +214,28 @@ class TestCompose:
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
-            compose(AffineMap.identity(2), AffineMap.identity(1))
+            AffineMap.identity(2).compose(AffineMap.identity(1))
 
 
 class TestApplyUnimodular:
     def test_identity_matrix(self):
         s = box([(1, 2), (1, 2)])
-        assert apply_unimodular(s, [[1, 0], [0, 1]]).points() == s.points()
+        assert s.apply_unimodular([[1, 0], [0, 1]]).points() == s.points()
 
     def test_skew(self):
         s = box([(1, 2), (1, 2)])
-        t = apply_unimodular(s, [[1, 1], [0, 1]])
+        t = s.apply_unimodular([[1, 1], [0, 1]])
         assert t.points() == {(i + j, j) for i in (1, 2) for j in (1, 2)}
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(NonUnimodularMatrixError):
-            apply_unimodular(box([(0, 1)]), [[2]])
+            box([(0, 1)]).apply_unimodular([[2]])
 
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 4)),
                     min_size=2, max_size=2))
     def test_preserves_point_count(self, bs):
         s = box([(a, a + w) for a, w in bs])
-        t = apply_unimodular(s, [[1, 3], [0, 1]])
+        t = s.apply_unimodular([[1, 3], [0, 1]])
         assert len(t.points()) == len(s.points())
 
 

@@ -62,6 +62,17 @@ class TestCompile:
         code, out, _ = run_cli(capsys, str(air), "--input-kind=affine", "--emit=std")
         assert code == 0 and "call S1(i, j)" in out
 
+    def test_exponent_literal_survives_air(self, capsys, tmp_path):
+        src = tmp_path / "scale.pc"
+        src.write_text("int N;\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++) {\n"
+                       "  A[i] = A[i] * 0.00001 + 1e17;\n}\n#pragma endscop\n")
+        air = tmp_path / "scale.air"
+        code, _, _ = run_cli(capsys, str(src), "--emit=affine", "-o", str(air))
+        assert code == 0 and "1e-05" in air.read_text()
+        code, from_air, _ = run_cli(capsys, str(air), "--emit=hls-c")
+        assert code == 0
+        assert from_air == run_cli(capsys, str(src), "--emit=hls-c")[1]
+
     def test_verify_each(self, pc_file, capsys):
         code, out, _ = run_cli(capsys, pc_file, "-tile=4,4", "-wavefront",
                                "--verify-each", "--emit=affine")
@@ -101,6 +112,13 @@ class TestErrors:
         f.write_text("int N;\nfor (i = 0; i < N; i += 2) { }\n")
         code, _, err = run_cli(capsys, str(f))
         assert code == 1 and "error" in err
+
+
+    def test_malformed_float_literal_reported(self, capsys, tmp_path):
+        f = tmp_path / "bad.pc"
+        f.write_text("int N;\nfloat A[N];\nfor (i = 0; i < N; i++) { A[i] = 1.2.3; }\n")
+        code, _, err = run_cli(capsys, str(f))
+        assert code == 1 and "3:" in err
 
 
 class TestRun:

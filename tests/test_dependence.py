@@ -2,8 +2,8 @@
 
 from polyhls import frontend as fe
 from polyhls.affine import eval_expr
-from polyhls.dependence import (ANTI, FLOW, OUTPUT, compute_dependences,
-                                distance_vector, dump_deps, is_loop_parallel)
+from polyhls.dependence import (ANTI, FLOW, OUTPUT, compute_dependences, dump_deps,
+                                is_loop_parallel)
 from polyhls.scop import build_scop
 from polyhls.transforms import TilingSpec, tile, wavefront_parallelize
 
@@ -91,7 +91,7 @@ class TestSimpleCases:
         # reads A[1] at every i: distances vary
         scop = build_scop(fe.parse_program(src))[0]
         deps = [d for d in compute_dependences(scop) if d.kind == FLOW]
-        assert deps and all(distance_vector(d) is None for d in deps)
+        assert deps and all(d.distance is None for d in deps)
 
 
 class TestCorpusOracle:

@@ -61,6 +61,40 @@ class TestParse:
         with pytest.raises(ParseError):
             fe.parse_program("int N;\n#pragma scop\n")
 
+    @pytest.mark.parametrize("literal", ["1.2.3", "1..5", "1e999", "1e"])
+    def test_malformed_float_literal_is_parse_error(self, literal):
+        src = "int N;\nfloat A[N];\nfor (i = 0; i < N; i++) { A[i] = %s; }\n" % literal
+        with pytest.raises(ParseError) as err:
+            fe.parse_program(src)
+        assert err.value.line == 3
+
+    def test_float_literal_forms(self):
+        p = fe.parse_program("int N;\nfloat A[N];\nfor (i = 0; i < N; i++) "
+                             "{ A[i] = 1. + .5 + 1e-05 + 2.5E+17 + 3e2; }\n")
+        lits = []
+
+        def collect(e):
+            if isinstance(e, fe.BinOp):
+                collect(e.lhs)
+                collect(e.rhs)
+            else:
+                lits.append(e)
+
+        collect(p.body[0].body[0].rhs)
+        assert lits == [fe.FloatLit(v) for v in (1.0, 0.5, 1e-05, 2.5e17, 300.0)]
+
+    @pytest.mark.parametrize("src", [
+        "int for;\n",
+        "int N;\nfloat A[int];\n",
+        "int N;\nint A[N];\nfor (if = 0; if < N; if++) { A[0] = 0; }\n",
+        "int N;\nint A[N];\nfor (i = 0; i < N; i++) { A[i] = return; }\n",
+        "int N;\nint A[N];\nfor (i = 0; i < N; i++) { else: A[i] = 0; }\n",
+        "int N;\nint pragma[N];\n",
+    ])
+    def test_keywords_rejected_as_names(self, src):
+        with pytest.raises(ParseError):
+            fe.parse_program(src)
+
     def test_scop_pragma_must_be_top_level(self):
         src = ("int N;\nint A[N];\nfor (i = 0; i < N; i++) {\n"
                "#pragma scop\nA[i] = 0;\n#pragma endscop\n}\n")
@@ -98,7 +132,8 @@ def _random_program(rng):
         vars_.append(v)
         depth += 1
     v = rng.choice(vars_)
-    rhs = rng.choice(["A[%s] + 1.5" % v, "A[%s] * 2.0 - A[0]" % v, "0.0"])
+    rhs = rng.choice(["A[%s] + 1.5" % v, "A[%s] * 2.0 - A[0]" % v, "0.0",
+                      "A[%s] * 1e-05 + 2.5E+17" % v])
     lines.append("A[%s] = %s;" % (v, rhs))
     if rng.random() < 0.5:
         a, b = rng.sample(vars_, 1) * 2 if len(vars_) == 1 else rng.sample(vars_, 2)

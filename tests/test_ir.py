@@ -128,8 +128,32 @@ class TestParse:
             parse_ir(bad)
 
     def test_syntax_error_has_location(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_ir("module {\n  affine.while i {\n}\n")
+        assert (err.value.line, err.value.col) == (2, 10)
+        with pytest.raises(ParseError) as err:
+            parse_ir("module {\n  symbol N\n  array A : float64 [N]\n"
+                     "  stmt S1(i) {\n    A[i] = A[i] * ;\n  }\n}\n")
+        assert (err.value.line, err.value.col) == (5, 19)
+
+    def test_round_trip_exponent_float_literals(self):
+        src = ("int N;\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++) {\n"
+               "  A[i] = A[i] * 0.00001 + 1e17;\n}\n#pragma endscop\n")
+        m = generate_loops(build_scop(fe.parse_program(src))[0])
+        text = print_ir(m)
+        assert "1e-05" in text and "1e+17" in text
+        assert parse_ir(text) == m
+
+    def test_stmt_body_forms(self):
+        text = ("module {\n  symbol N\n  array mod : float64 [N]\n"
+                "  array floordiv : float64 [N]\n"
+                "  stmt S1(i) { mod[i] = floordiv[i] + 1.5 }\n}\n")
+        m = parse_ir(text)
+        assert m.stmts[0].body == fe.Assign(
+            "", fe.ArrayRef("mod", (fe.Name("i"),)),
+            fe.BinOp("+", fe.ArrayRef("floordiv", (fe.Name("i"),)), fe.FloatLit(1.5)))
+        assert parse_ir(print_ir(m)) == m
+        assert verify_ir(m) == []
 
 
 class TestVerify:
