@@ -174,6 +174,14 @@ def _input_kind(opts):
     return kind
 
 
+def _parse_module(text):
+    module = parse_ir(text)
+    diags = verify_ir(module)
+    if diags:
+        raise _UserError("invalid module: " + "; ".join(diags))
+    return module
+
+
 def _apply_pass(scop, name, arg):
     if name == "tile":
         return tile(scop, TilingSpec(arg))
@@ -222,10 +230,7 @@ def _compile(opts, text):
     if kind == "affine":
         if opts["passes"]:
             raise _UserError("transformation passes need a .pc input")
-        module = parse_ir(text)
-        diags = verify_ir(module)
-        if diags:
-            raise _UserError("invalid module: " + "; ".join(diags))
+        module = _parse_module(text)
         for d in opts["dumps"]:
             if d == "bounds":
                 out.append(dump_bounds(module))
@@ -302,7 +307,7 @@ def _load_values(path, decl):
 def _run_mode(opts, text):
     kind = _input_kind(opts)
     if kind == "affine":
-        obj = parse_ir(text)
+        obj = _parse_module(text)
         decls = obj.arrays
     else:
         prog = fe.parse_program(text)

@@ -7,13 +7,18 @@ size parameters, arrays are 1-D/2-D/3-D ``int``/``float``, loops are
 element from an expression over array reads, loop variables and constants.
 ``#pragma scop`` / ``#pragma endscop`` delimit the regions handed to the
 polyhedral model.
+
+The expression tree is also the standard level's (loop bounds and guards
+of :mod:`polyhls.hls`, with :class:`Call` for its bound helpers);
+:func:`format_expr` is its one printer and :func:`evaluate` its one
+evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError, UnsupportedConstructError
+from .errors import InterpError, ParseError, UnsupportedConstructError
 from .lexer import Cursor
 
 INT64 = "int64"
@@ -53,6 +58,15 @@ class BinOp(Expr):
 class ArrayRef(Expr):
     array: str
     subs: tuple
+
+
+@dataclass(frozen=True)
+class Call(Expr):
+    """Bound helper of the standard level (never parsed from `.pc`):
+    floord, ceild, min or max, each binary."""
+
+    fn: str
+    args: tuple
 
 
 # -- statements -------------------------------------------------------------
@@ -358,22 +372,68 @@ def _check_scop_pairing(body, depth=0, top=True):
 # -- printer ----------------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2}
+_C_FN = {"min": "minll", "max": "maxll"}
 
 
-def format_expr(e, parent_prec=0):
+def format_expr(e, c=False, parent_prec=0):
+    """`.pc` text of `e`; with `c`, the C99 of the HLS back end: hex float
+    literals, negative int literals in parentheses, minll/maxll."""
     if isinstance(e, Name):
         return e.ident
     if isinstance(e, IntLit):
-        return str(e.value)
+        return "(%d)" % e.value if c and e.value < 0 else str(e.value)
     if isinstance(e, FloatLit):
-        return repr(e.value)
+        return float(e.value).hex() if c else repr(e.value)
     if isinstance(e, ArrayRef):
-        return e.array + "".join("[%s]" % format_expr(s) for s in e.subs)
+        return e.array + "".join("[%s]" % format_expr(s, c) for s in e.subs)
     if isinstance(e, BinOp):
+        # every operator is left-associative; a right operand of equal
+        # precedence keeps its parentheses (float + and * do not associate)
         prec = _PREC[e.op]
-        s = "%s %s %s" % (format_expr(e.lhs, prec), e.op, format_expr(e.rhs, prec + 1))
+        s = "%s %s %s" % (format_expr(e.lhs, c, prec), e.op, format_expr(e.rhs, c, prec + 1))
         return "(%s)" % s if prec < parent_prec else s
+    if isinstance(e, Call):
+        fn = _C_FN.get(e.fn, e.fn) if c else e.fn
+        return "%s(%s)" % (fn, ", ".join(format_expr(a, c) for a in e.args))
     raise TypeError(e)
+
+
+# -- evaluator --------------------------------------------------------------
+
+
+def evaluate(e, env, load=None):
+    """Value of `e` with names bound by `env`; array reads go through
+    `load(array, subscripts)` (bounds and guards read no arrays and need
+    none).  floord/ceild round toward -inf/+inf, as the C helpers do.  An
+    unbound name is an :class:`InterpError`."""
+    if isinstance(e, BinOp):
+        a = evaluate(e.lhs, env, load)
+        b = evaluate(e.rhs, env, load)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        return a * b
+    if isinstance(e, Name):
+        try:
+            return env[e.ident]
+        except KeyError:
+            raise InterpError("unbound name %r" % e.ident) from None
+    if isinstance(e, (IntLit, FloatLit)):
+        return e.value
+    if isinstance(e, ArrayRef):
+        return load(e.array, [evaluate(s, env, load) for s in e.subs])
+    if isinstance(e, Call):
+        a, b = [evaluate(x, env, load) for x in e.args]
+        if e.fn == "floord":
+            return a // b
+        if e.fn == "ceild":
+            return -(-a // b)
+        if e.fn == "min":
+            return min(a, b)
+        if e.fn == "max":
+            return max(a, b)
+    raise InterpError("cannot evaluate %r" % (e,))
 
 
 def _fmt_stmt(s, indent, out):

@@ -13,44 +13,20 @@ from dataclasses import dataclass, replace
 
 from . import frontend as fe
 from .affine import Add, CeilDiv, Const, DimRef, FloorDiv, Mod, Mul, SymRef
-from .errors import CodegenError
+from .errors import CodegenError, InterpError
 from .ir import AffineIrModule, Call, For, If, StmtDef
 
 
 # ---------------------------------------------------------------------------
-# standard-level expression and op ASTs
-
-
-@dataclass(frozen=True)
-class CVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class CInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class CBin:
-    op: str  # + - *
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class CFn:
-    """Helper-function call: floord, ceild, min, max (all binary)."""
-
-    fn: str
-    args: tuple
+# standard-level op ASTs; expressions are frontend.Expr trees (Name, IntLit,
+# BinOp and Call for floord/ceild/min/max)
 
 
 @dataclass(frozen=True)
 class CFor:
     var: str
-    lower: object  # CExpr
-    upper: object  # CExpr, inclusive
+    lower: fe.Expr
+    upper: fe.Expr  # inclusive
     parallel: bool
     body: tuple
     pipeline: bool = False
@@ -59,7 +35,7 @@ class CFor:
 
 @dataclass(frozen=True)
 class CGuard:
-    cond: tuple  # of (CExpr, "eq"/"ineq") meaning expr == 0 / expr >= 0
+    cond: tuple  # of (fe.Expr, "eq"/"ineq") meaning expr == 0 / expr >= 0
     then: tuple
     els: tuple = ()
 
@@ -97,37 +73,38 @@ class HlsProgram:
 def _fold(fn, exprs):
     out = exprs[0]
     for e in exprs[1:]:
-        out = CFn(fn, (out, e))
+        out = fe.Call(fn, (out, e))
     return out
 
 
 def _cexpr(e, dims, syms):
     if isinstance(e, Const):
-        return CInt(e.value)
+        return fe.IntLit(e.value)
     if isinstance(e, DimRef):
-        return CVar(dims[e.index])
+        return fe.Name(dims[e.index])
     if isinstance(e, SymRef):
-        return CVar(syms[e.index])
+        return fe.Name(syms[e.index])
     if isinstance(e, Add):
         lhs, rhs = _cexpr(e.lhs, dims, syms), _cexpr(e.rhs, dims, syms)
-        if isinstance(rhs, CInt) and rhs.value < 0:
-            return CBin("-", lhs, CInt(-rhs.value))
-        if isinstance(rhs, CBin) and rhs.op == "*" and isinstance(rhs.rhs, CInt) \
+        if isinstance(rhs, fe.IntLit) and rhs.value < 0:
+            return fe.BinOp("-", lhs, fe.IntLit(-rhs.value))
+        if isinstance(rhs, fe.BinOp) and rhs.op == "*" and isinstance(rhs.rhs, fe.IntLit) \
                 and rhs.rhs.value < 0:
-            neg = rhs.lhs if rhs.rhs.value == -1 else CBin("*", rhs.lhs, CInt(-rhs.rhs.value))
-            return CBin("-", lhs, neg)
-        return CBin("+", lhs, rhs)
+            neg = rhs.lhs if rhs.rhs.value == -1 else \
+                fe.BinOp("*", rhs.lhs, fe.IntLit(-rhs.rhs.value))
+            return fe.BinOp("-", lhs, neg)
+        return fe.BinOp("+", lhs, rhs)
     if isinstance(e, Mul):
         if e.coef == 1:
             return _cexpr(e.operand, dims, syms)
-        return CBin("*", _cexpr(e.operand, dims, syms), CInt(e.coef))
+        return fe.BinOp("*", _cexpr(e.operand, dims, syms), fe.IntLit(e.coef))
     if isinstance(e, FloorDiv):
-        return CFn("floord", (_cexpr(e.operand, dims, syms), CInt(e.divisor)))
+        return fe.Call("floord", (_cexpr(e.operand, dims, syms), fe.IntLit(e.divisor)))
     if isinstance(e, CeilDiv):
-        return CFn("ceild", (_cexpr(e.operand, dims, syms), CInt(e.divisor)))
+        return fe.Call("ceild", (_cexpr(e.operand, dims, syms), fe.IntLit(e.divisor)))
     if isinstance(e, Mod):
-        x = _cexpr(e.operand, dims, syms)
-        return CBin("-", x, CBin("*", CFn("floord", (x, CInt(e.divisor))), CInt(e.divisor)))
+        x, d = _cexpr(e.operand, dims, syms), fe.IntLit(e.divisor)
+        return fe.BinOp("-", x, fe.BinOp("*", fe.Call("floord", (x, d)), d))
     raise CodegenError("cannot lower affine expression %r" % (e,))
 
 
@@ -215,32 +192,12 @@ class DirectivePolicy:
     unroll_limit: int = 16
 
 
-def _const_val(e):
-    if isinstance(e, CInt):
-        return e.value
-    if isinstance(e, CBin):
-        a, b = _const_val(e.lhs), _const_val(e.rhs)
-        if a is None or b is None:
-            return None
-        return {"+": a + b, "-": a - b, "*": a * b}[e.op]
-    if isinstance(e, CFn):
-        vals = [_const_val(x) for x in e.args]
-        if any(v is None for v in vals):
-            return None
-        a, b = vals
-        if e.fn == "floord":
-            return a // b
-        if e.fn == "ceild":
-            return -((-a) // b)
-        return {"min": min, "max": max}[e.fn](a, b)
-    return None
-
-
 def _trip_count(loop):
-    lo, up = _const_val(loop.lower), _const_val(loop.upper)
-    if lo is None or up is None:
+    """The trip count when both bounds are constant, else None."""
+    try:
+        return max(0, fe.evaluate(loop.upper, {}) - fe.evaluate(loop.lower, {}) + 1)
+    except InterpError:  # a bound names a symbol or an outer loop var
         return None
-    return max(0, up - lo + 1)
 
 
 def insert_directives(p: HlsProgram, policy: DirectivePolicy = DirectivePolicy()) -> HlsProgram:
@@ -291,48 +248,8 @@ static long long maxll(long long a, long long b) { return a > b ? a : b; }
 static long long minll(long long a, long long b) { return a < b ? a : b; }
 """
 
-_PREC = {"+": 1, "-": 1, "*": 2}
-
-
-def _c_of(e, prec=0):
-    if isinstance(e, CVar):
-        return e.name
-    if isinstance(e, CInt):
-        return str(e.value) if e.value >= 0 else "(%d)" % e.value
-    if isinstance(e, CBin):
-        p = _PREC[e.op]
-        # '-' is left-associative; parenthesize a right operand of equal prec
-        s = "%s %s %s" % (_c_of(e.lhs, p), e.op, _c_of(e.rhs, p + (e.op in "-")))
-        return "(%s)" % s if p < prec else s
-    if isinstance(e, CFn):
-        fn = {"min": "minll", "max": "maxll"}.get(e.fn, e.fn)
-        return "%s(%s)" % (fn, ", ".join(_c_of(a) for a in e.args))
-    raise CodegenError("cannot emit %r" % (e,))
-
-
 def _c_elem(kind):
     return "long long" if kind == fe.INT64 else "double"
-
-
-def _c_float_lit(v):
-    return float(v).hex()
-
-
-def _c_body_expr(e, prec=0):
-    if isinstance(e, fe.Name):
-        return e.ident
-    if isinstance(e, fe.IntLit):
-        return str(e.value) if e.value >= 0 else "(%d)" % e.value
-    if isinstance(e, fe.FloatLit):
-        return _c_float_lit(e.value)
-    if isinstance(e, fe.ArrayRef):
-        return e.array + "".join("[%s]" % _c_body_expr(s) for s in e.subs)
-    if isinstance(e, fe.BinOp):
-        p = _PREC[e.op]
-        s = "%s %s %s" % (_c_body_expr(e.lhs, p), e.op,
-                          _c_body_expr(e.rhs, p + (e.op in "-")))
-        return "(%s)" % s if p < prec else s
-    raise CodegenError("cannot emit statement expression %r" % (e,))
 
 
 def _subst_names(e, mapping):
@@ -346,7 +263,12 @@ def _subst_names(e, mapping):
 
 
 def _nontrivial_bound(e):
-    return isinstance(e, CFn) and e.fn in ("min", "max")
+    return isinstance(e, fe.Call) and e.fn in ("min", "max")
+
+
+def _cond_text(cond):
+    return " && ".join("%s %s 0" % (fe.format_expr(e, c=True), "==" if kind == "eq" else ">=")
+                       for e, kind in cond)
 
 
 def emit_c(p: HlsProgram) -> str:
@@ -371,7 +293,7 @@ def emit_c(p: HlsProgram) -> str:
         pad = "  " * ind
         for op in ops:
             if isinstance(op, CFor):
-                lo, up = _c_of(op.lower), _c_of(op.upper)
+                lo, up = fe.format_expr(op.lower, c=True), fe.format_expr(op.upper, c=True)
                 if _nontrivial_bound(op.lower):
                     k = counter[0]
                     counter[0] += 1
@@ -392,10 +314,7 @@ def emit_c(p: HlsProgram) -> str:
                 emit_ops(op.body, ind + 1)
                 w(pad + "}")
             elif isinstance(op, CGuard):
-                conds = []
-                for e, kind in op.cond:
-                    conds.append("%s %s 0" % (_c_of(e, 1), "==" if kind == "eq" else ">="))
-                w("%sif (%s) {" % (pad, " && ".join(conds) if conds else "1"))
+                w("%sif (%s) {" % (pad, _cond_text(op.cond) or "1"))
                 emit_ops(op.then, ind + 1)
                 if op.els:
                     w(pad + "} else {")
@@ -406,7 +325,8 @@ def emit_c(p: HlsProgram) -> str:
                 mapping = dict(zip(sd.params, op.args))
                 a = _subst_names(sd.body.ref, mapping)
                 rhs = _subst_names(sd.body.rhs, mapping)
-                w("%s%s = %s;  /* %s */" % (pad, _c_body_expr(a), _c_body_expr(rhs), op.name))
+                w("%s%s = %s;  /* %s */" % (pad, fe.format_expr(a, c=True),
+                                            fe.format_expr(rhs, c=True), op.name))
             else:
                 raise CodegenError("cannot emit op %r" % (op,))
 
@@ -490,13 +410,12 @@ def print_std(ast) -> str:
                     flags.append("unroll=%d" % op.unroll)
                 tag = (" " + " ".join(flags)) if flags else ""
                 out.append("%sfor%s %s = %s to %s {" % (
-                    pad, tag, op.var, _c_of(op.lower), _c_of(op.upper)))
+                    pad, tag, op.var, fe.format_expr(op.lower, c=True),
+                    fe.format_expr(op.upper, c=True)))
                 walk(op.body, ind + 1)
                 out.append(pad + "}")
             elif isinstance(op, CGuard):
-                conds = " && ".join("%s %s 0" % (_c_of(e, 1), "==" if k == "eq" else ">=")
-                                    for e, k in op.cond)
-                out.append("%sif %s {" % (pad, conds))
+                out.append("%sif %s {" % (pad, _cond_text(op.cond)))
                 walk(op.then, ind + 1)
                 if op.els:
                     out.append(pad + "} else {")

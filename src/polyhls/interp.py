@@ -29,31 +29,25 @@ class Array:
     extents: tuple  # of int
     data: list  # flat, row-major
 
-    def offset(self, idxs, where=""):
+    def offset(self, idxs):
         if len(idxs) != len(self.extents):
-            raise InterpError("array %s: rank mismatch %s" % (self.name, where))
+            raise InterpError("array %s: rank mismatch" % self.name)
         off = 0
         for v, ext in zip(idxs, self.extents):
             if not isinstance(v, int):
-                raise InterpError("array %s: non-integer subscript %r %s"
-                                  % (self.name, v, where))
+                raise InterpError("array %s: non-integer subscript %r" % (self.name, v))
             if not 0 <= v < ext:
-                raise InterpError("array %s: index %s out of bounds %s %s"
-                                  % (self.name, list(idxs),
-                                     list(self.extents), where))
+                raise InterpError("array %s: index %s out of bounds %s"
+                                  % (self.name, list(idxs), list(self.extents)))
             off = off * ext + v
         return off
 
-    def load(self, idxs, where=""):
-        return self.data[self.offset(idxs, where)]
-
-    def store(self, idxs, value, where=""):
+    def store(self, idxs, value):
         if self.elem == fe.INT64 and not isinstance(value, int):
-            raise InterpError("array %s: storing non-integer %r %s"
-                              % (self.name, value, where))
+            raise InterpError("array %s: storing non-integer %r" % (self.name, value))
         if self.elem == fe.FLOAT64:
             value = float(value)
-        self.data[self.offset(idxs, where)] = value
+        self.data[self.offset(idxs)] = value
 
 
 @dataclass
@@ -66,6 +60,22 @@ class Machine:
     def record(self, name, idxs):
         if self.trace is not None:
             self.trace.append((name, tuple(idxs)))
+
+    def array(self, name):
+        arr = self.arrays.get(name)
+        if arr is None:
+            raise InterpError("unknown array %r" % name)
+        return arr
+
+    def load(self, name, idxs):
+        arr = self.array(name)
+        return arr.data[arr.offset(idxs)]
+
+    def env(self, names, values):
+        """Evaluation env: the symbols, then `names` bound to `values`."""
+        env = dict(self.symbols)
+        env.update(zip(names, values))
+        return env
 
     def order(self, n, parallel):
         idx = list(range(n))
@@ -110,40 +120,17 @@ def make_machine(symbols, array_decls, init=None, trace=False, shuffle_seed=None
 # statement-template execution (shared by all representations)
 
 
-def _eval_body(e, env, machine, where):
-    if isinstance(e, fe.IntLit):
-        return e.value
-    if isinstance(e, fe.FloatLit):
-        return e.value
-    if isinstance(e, fe.Name):
-        if e.ident in env:
-            return env[e.ident]
-        if e.ident in machine.symbols:
-            return machine.symbols[e.ident]
-        raise InterpError("unbound name %r %s" % (e.ident, where))
-    if isinstance(e, fe.ArrayRef):
-        arr = machine.arrays.get(e.array)
-        if arr is None:
-            raise InterpError("unknown array %r %s" % (e.array, where))
-        idxs = [_eval_body(s, env, machine, where) for s in e.subs]
-        return arr.load(idxs, where)
-    if isinstance(e, fe.BinOp):
-        a = _eval_body(e.lhs, env, machine, where)
-        b = _eval_body(e.rhs, env, machine, where)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        return a * b
-    raise InterpError("cannot evaluate %r %s" % (e, where))
-
-
-def _exec_assign(assign, env, machine, where):
-    arr = machine.arrays.get(assign.ref.array)
-    if arr is None:
-        raise InterpError("unknown array %r %s" % (assign.ref.array, where))
-    idxs = [_eval_body(s, env, machine, where) for s in assign.ref.subs]
-    arr.store(idxs, _eval_body(assign.rhs, env, machine, where), where)
+def _exec_assign(assign, env, machine, name, idxs):
+    """Run one instance `name(idxs)` of `assign`; `env` binds every name
+    its expressions read."""
+    machine.record(name, idxs)
+    load = machine.load
+    try:
+        arr = machine.array(assign.ref.array)
+        subs = [fe.evaluate(s, env, load) for s in assign.ref.subs]
+        arr.store(subs, fe.evaluate(assign.rhs, env, load))
+    except InterpError as e:
+        raise InterpError("%s at %s%s" % (e, name, idxs)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -157,48 +144,32 @@ _CMP = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
 
 def _run_program(program, machine):
     names = stmt_names(program.body)
+    load = machine.load
 
-    def exec_stmts(nodes, env):
+    def exec_stmts(nodes, env, loops):
+        # loops: the enclosing loop vars, outermost first (trace coordinates)
         for node in nodes:
             if isinstance(node, (fe.ScopBegin, fe.ScopEnd)):
                 continue
             if isinstance(node, fe.For):
-                lo = _eval_body(node.lower, env, machine, "in loop bound")
-                hi = _eval_body(node.upper, env, machine, "in loop bound")
+                lo = fe.evaluate(node.lower, env, load)
+                hi = fe.evaluate(node.upper, env, load)
+                inner = loops + (node.var,)
                 for v in range(lo, hi):
                     env2 = dict(env)
                     env2[node.var] = v
-                    exec_stmts(node.body, env2)
+                    exec_stmts(node.body, env2, inner)
             elif isinstance(node, fe.If):
-                a = _eval_body(node.lhs, env, machine, "in condition")
-                b = _eval_body(node.rhs, env, machine, "in condition")
-                exec_stmts(node.then if _CMP[node.op](a, b) else node.els, env)
+                a = fe.evaluate(node.lhs, env, load)
+                b = fe.evaluate(node.rhs, env, load)
+                exec_stmts(node.then if _CMP[node.op](a, b) else node.els, env, loops)
             elif isinstance(node, fe.Assign):
-                name = names[id(node)]
-                idxs = tuple(env[v] for v in _loop_vars_of(node, env))
-                machine.record(name, idxs)
-                _exec_assign(node, env, machine, "at %s%s" % (name, idxs))
+                _exec_assign(node, env, machine, names[id(node)],
+                             tuple(env[v] for v in loops))
             else:
                 raise InterpError("cannot execute %r" % (node,))
 
-    def _loop_vars_of(node, env):
-        # trace coordinates: enclosing loop vars in nesting order
-        return [v for v in loop_order if v in env]
-
-    loop_order = []
-
-    def collect(nodes):
-        for node in nodes:
-            if isinstance(node, fe.For):
-                if node.var not in loop_order:
-                    loop_order.append(node.var)
-                collect(node.body)
-            elif isinstance(node, fe.If):
-                collect(node.then)
-                collect(node.els)
-
-    collect(program.body)
-    exec_stmts(program.body, {})
+    exec_stmts(program.body, dict(machine.symbols), ())
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +177,10 @@ def _run_program(program, machine):
 
 
 def _run_scop(scop, machine):
-    syms = [machine.symbols[s] for s in scop.symbols]
     for s in scop.symbols:
         if s not in machine.symbols:
             raise InterpError("unbound symbol %r" % s)
+    syms = [machine.symbols[s] for s in scop.symbols]
     if not scop.context.contains((), syms):
         raise InterpError("symbol bindings violate the context set")
     instances = []
@@ -223,10 +194,8 @@ def _run_scop(scop, machine):
             instances.append((time, st, p))
     instances.sort(key=lambda t: t[0])
     for _, st, p in instances:
-        env = {st.dim_names[d]: p[d] for d in range(len(p))}
-        idxs = tuple(p[d] for d in st.body_dims)
-        machine.record(st.name, idxs)
-        _exec_assign(st.body, env, machine, "at %s%s" % (st.name, idxs))
+        _exec_assign(st.body, machine.env(st.dim_names, p), machine, st.name,
+                     tuple(p[d] for d in st.body_dims))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +238,7 @@ def _run_ir(module, machine):
                     raise InterpError("call to %s: expected %d args, got %d"
                                       % (op.stmt, len(sd.params), len(op.args)))
                 idxs = tuple(env[a] for a in op.args)
-                machine.record(op.stmt, idxs)
-                senv = dict(zip(sd.params, idxs))
-                _exec_assign(sd.body, senv, machine, "at %s%s" % (op.stmt, idxs))
+                _exec_assign(sd.body, machine.env(sd.params, idxs), machine, op.stmt, idxs)
             else:
                 raise InterpError("cannot execute op %r" % (op,))
 
@@ -282,37 +249,14 @@ def _run_ir(module, machine):
 # standard-level LoopAst
 
 
-def _eval_c(e, env, machine):
-    if isinstance(e, hls.CInt):
-        return e.value
-    if isinstance(e, hls.CVar):
-        if e.name in env:
-            return env[e.name]
-        if e.name in machine.symbols:
-            return machine.symbols[e.name]
-        raise InterpError("unbound variable %r" % e.name)
-    if isinstance(e, hls.CBin):
-        a, b = _eval_c(e.lhs, env, machine), _eval_c(e.rhs, env, machine)
-        return {"+": a + b, "-": a - b, "*": a * b}[e.op]
-    if isinstance(e, hls.CFn):
-        vals = [_eval_c(x, env, machine) for x in e.args]
-        a, b = vals
-        if e.fn == "floord":
-            return a // b
-        if e.fn == "ceild":
-            return -((-a) // b)
-        return {"min": min, "max": max}[e.fn](a, b)
-    raise InterpError("cannot evaluate %r" % (e,))
-
-
 def _run_loop_ast(ops, stmts, machine):
     stmt_by_name = {s.name: s for s in stmts}
 
     def exec_ops(ops, env):
         for op in ops:
             if isinstance(op, hls.CFor):
-                lo = _eval_c(op.lower, env, machine)
-                up = _eval_c(op.upper, env, machine)
+                lo = fe.evaluate(op.lower, env)
+                up = fe.evaluate(op.upper, env)
                 count = max(0, up - lo + 1)
                 for k in machine.order(count, op.parallel):
                     env2 = dict(env)
@@ -321,7 +265,7 @@ def _run_loop_ast(ops, stmts, machine):
             elif isinstance(op, hls.CGuard):
                 ok = True
                 for e, kind in op.cond:
-                    v = _eval_c(e, env, machine)
+                    v = fe.evaluate(e, env)
                     if (v != 0) if kind == "eq" else (v < 0):
                         ok = False
                         break
@@ -330,14 +274,12 @@ def _run_loop_ast(ops, stmts, machine):
                 sd = stmt_by_name.get(op.name)
                 if sd is None:
                     raise InterpError("call to unknown statement %r" % op.name)
-                idxs = tuple(env[a] if a in env else machine.symbols[a] for a in op.args)
-                machine.record(op.name, idxs)
-                senv = dict(zip(sd.params, idxs))
-                _exec_assign(sd.body, senv, machine, "at %s%s" % (op.name, idxs))
+                idxs = tuple(env[a] for a in op.args)
+                _exec_assign(sd.body, machine.env(sd.params, idxs), machine, op.name, idxs)
             else:
                 raise InterpError("cannot execute op %r" % (op,))
 
-    exec_ops(ops, {})
+    exec_ops(ops, dict(machine.symbols))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,17 @@ class TestRun:
         _, c, _ = run_cli(capsys, "run", str(air), "--set", "N=9", "--trace")
         assert a != c
 
+    def test_run_rejects_invalid_module(self, capsys, tmp_path):
+        f = tmp_path / "m.air"
+        f.write_text("#map0 = affine_map<() -> (0)>\n"
+                     "#map1 = affine_map<() -> (4)>\n"
+                     "module {\n  symbol N\n  array A : float64 [N]\n"
+                     "  stmt S1(i) { A[i] = A[i] + 1.0; }\n"
+                     "  affine.for i = max #map0() to min #map1() {\n"
+                     "    call @S1(k)\n  }\n}\n")
+        code, _, err = run_cli(capsys, "run", str(f), "--set", "N=8")
+        assert code == 1 and "invalid module" in err and "'k'" in err
+
     def test_run_bad_set(self, pc_file, capsys):
         code, _, err = run_cli(capsys, "run", pc_file, "--set", "N=lots")
         assert code == 1

@@ -30,15 +30,15 @@ class TestLowerToStandard:
         ast = hls.lower_to_standard(m)
         loop = ast.body[0]
         assert isinstance(loop, hls.CFor)
-        assert loop.lower == hls.CInt(0)
-        assert loop.upper == hls.CBin("-", hls.CVar("N"), hls.CInt(1))
+        assert loop.lower == fe.IntLit(0)
+        assert loop.upper == fe.BinOp("-", fe.Name("N"), fe.IntLit(1))
 
     def test_floordiv_becomes_helper_call(self):
         _, m = module_for(corpus.STENCIL2D, "wavefront")
         ast = hls.lower_to_standard(m)
         t1 = ast.body[0]
-        assert t1.upper == hls.CFn("floord", (hls.CBin("-", hls.CVar("N"),
-                                                       hls.CInt(1)), hls.CInt(2)))
+        assert t1.upper == fe.Call("floord", (fe.BinOp("-", fe.Name("N"),
+                                                       fe.IntLit(1)), fe.IntLit(2)))
 
     def test_parallel_for_becomes_annotated_for(self):
         _, m = module_for(corpus.STENCIL2D, "wavefront")
@@ -190,3 +190,18 @@ class TestDifferentialExecution:
         toks = self.compile_and_run(hls.emit_c(p), [str(n)], data, tmp_path)
         assert [int(t) for t in toks] == want
         assert want[0] == 6  # i = -2 executed: floord rounded toward -inf
+
+    def test_right_nested_float_sum_bit_exact(self, tmp_path):
+        # float + does not associate: B + (C + D) is 0.0, (B + C) + D is 1.0
+        src = ("int N;\nfloat A[N];\nfloat B[N];\nfloat C[N];\nfloat D[N];\n"
+               "#pragma scop\nfor (i = 0; i < N; i++) { A[i] = B[i] + (C[i] + D[i]); }\n"
+               "#pragma endscop\n")
+        scop = build_scop(fe.parse_program(src))[0]
+        p = hls.insert_directives(hls.partition(
+            simplify_bounds(generate_loops(scop)), scop.name))
+        init = {"B": [1e16], "C": [-1e16], "D": [1.0]}
+        want = interp.run(p, {"N": 1}, init).arrays["A"].data
+        assert want == [0.0]
+        data = "\n".join(repr(init[a][0]) for a in ("B", "C", "D"))
+        toks = self.compile_and_run(hls.emit_c(p), ["1"], data, tmp_path)
+        assert [float.fromhex(t) for t in toks] == want

@@ -48,6 +48,11 @@ class TestRunSource:
     def test_unbound_symbol(self):
         with pytest.raises(InterpError):
             interp.run(stencil_prog(), {})
+        # constant extents: only the Scop's loop bound reads N
+        src = ("int N;\nfloat A[10];\n#pragma scop\n"
+               "for (i = 0; i < N; i++) { A[i] = A[i] + 1.0; }\n#pragma endscop\n")
+        with pytest.raises(InterpError):
+            interp.run(build_scop(fe.parse_program(src))[0], {})
 
     def test_determinism(self):
         prog = fe.parse_program(corpus.MATMUL.source)
@@ -75,12 +80,19 @@ class TestTrace:
         assert tiled != orig  # the order genuinely changed
 
     def test_scop_trace_equals_source_trace(self):
-        for entry in corpus.ALL:
-            prog = fe.parse_program(entry.source)
+        # the last source's second nest runs j outside i: S2's coordinates
+        # are (j, i), whatever order the first nest used
+        transposed = ("int N;\nfloat A[N][N];\nfloat B[N][N];\n#pragma scop\n"
+                      "for (i = 0; i < N; i++) { for (j = 0; j < N; j++) {\n"
+                      "  A[i][j] = A[i][j] + 1.0; } }\n"
+                      "for (j = 0; j < N; j++) { for (i = 0; i < N; i++) {\n"
+                      "  B[j][i] = A[i][j]; } }\n#pragma endscop\n")
+        for source in [entry.source for entry in corpus.ALL] + [transposed]:
+            prog = fe.parse_program(source)
             scop = build_scop(prog)[0]
             for n in (2, 6):
                 assert interp.trace(scop, {s: n for s in scop.symbols}) == \
-                    interp.trace(prog, {s: n for s in prog.symbols}), entry.name
+                    interp.trace(prog, {s: n for s in prog.symbols}), source
 
 
 class TestShuffle:
