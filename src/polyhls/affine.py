@@ -1,12 +1,28 @@
 """Exact integer affine algebra.
 
-Expressions are trees over dimension references, symbol references and
-integer constants, closed under addition, multiplication by a constant and
-floordiv/ceildiv/mod by a positive constant.  Constraint systems
-(:class:`IntegerSet`) store pure linear rows; div/mod terms are lowered by
-introducing existential dimensions so Fourier-Motzkin elimination stays
-applicable.  All arithmetic uses Python's arbitrary-precision integers, so
-nothing can silently overflow.
+An affine expression is one canonical linear form, :class:`AffineExpr`:
+integer coefficients on dimension and symbol references, div atoms
+(floordiv, ceildiv or mod of a canonical operand by a positive constant)
+and a constant.  It is built from ``DimRef(i)``, ``SymRef(j)`` and
+``Const(v)`` with ``+``, ``-``, ``*`` by an integer and the checked
+:func:`floordiv`, :func:`ceildiv` and :func:`mod`.  Every value is canonical
+when built (like terms merged, zero terms dropped, div atoms of a constant
+operand folded), so equality and hashing are structural.
+
+Expressions are ordered by the key ``(dims, syms, divs, const)``: the
+``(index, coefficient)`` pairs of the dim terms by increasing index, then
+those of the symbol terms, then the ``(kind, operand, divisor,
+coefficient)`` div atoms (kinds ordered ceildiv < floordiv < mod), then the
+constant.  Tuples compare lexicographically, so a constant comes before any
+expression with a term, and ``s0`` before ``d0``.  This one key orders the
+terms of a printed expression and sorts and dedups the results of
+:meth:`IntegerSet.bounds_for_dim`, which fixes the order of the ``max`` /
+``min`` results of every generated bound map.
+
+Constraint systems (:class:`IntegerSet`) store pure linear rows; div/mod
+terms are lowered by introducing existential dimensions so Fourier-Motzkin
+elimination stays applicable.  All arithmetic uses Python's
+arbitrary-precision integers, so nothing can silently overflow.
 
 Column order of a constraint row: dims, existentials, symbols, constant.
 """
@@ -29,107 +45,150 @@ from .lexer import Cursor
 # ---------------------------------------------------------------------------
 # Expressions
 
+CEILDIV, FLOORDIV, MOD = "ceildiv", "floordiv", "mod"  # div atom kinds, in key order
 
+
+@dataclass(frozen=True, order=True)
 class AffineExpr:
-    """Base class; build via the subclasses or the operator overloads."""
+    """Canonical linear form.  Build it with DimRef/SymRef/Const, the
+    operators and floordiv/ceildiv/mod, not with the constructor."""
+
+    dims: tuple = ()  # ((index, coef), ...): increasing index, coef != 0
+    syms: tuple = ()  # the same for symbols
+    divs: tuple = ()  # ((kind, operand, divisor, coef), ...): sorted, coef != 0
+    const: int = 0
 
     def __add__(self, other):
-        return Add(self, _as_expr(other))
+        return _sum(((self, 1), (_as_expr(other), 1)))
 
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return Add(self, Mul(_as_expr(other), -1))
+        return _sum(((self, 1), (_as_expr(other), -1)))
 
     def __rsub__(self, other):
-        return Add(_as_expr(other), Mul(self, -1))
+        return _sum(((_as_expr(other), 1), (self, -1)))
 
     def __mul__(self, coef):
         if not isinstance(coef, int):
             raise MalformedExpressionError("can only multiply by an integer")
-        return Mul(self, coef)
+        return _sum(((self, coef),))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Mul(self, -1)
+        return _sum(((self, -1),))
 
     def __str__(self):
         return format_expr(self)
 
+    @property
+    def is_const(self):
+        return not (self.dims or self.syms or self.divs)
+
+    def as_dim(self):
+        """The index ``i`` when the expression is exactly ``d_i``, else None."""
+        if len(self.dims) == 1 and self.dims[0][1] == 1 and not (
+                self.syms or self.divs or self.const):
+            return self.dims[0][0]
+        return None
+
+    def check_range(self, num_dims, num_syms):
+        """Raise MalformedExpressionError on a dim index >= num_dims or a
+        symbol index >= num_syms."""
+        if self.dims and self.dims[-1][0] >= num_dims:
+            raise MalformedExpressionError("dim d%d out of range" % self.dims[-1][0])
+        if self.syms and self.syms[-1][0] >= num_syms:
+            raise MalformedExpressionError("symbol s%d out of range" % self.syms[-1][0])
+        for _, op, _, _ in self.divs:
+            op.check_range(num_dims, num_syms)
+
+    def insert_dims(self, at, count):
+        """Renumber every dim index >= ``at`` up by ``count``.  The
+        renumbering keeps the order of indices, so the form stays
+        canonical."""
+        return AffineExpr(
+            tuple((i + count if i >= at else i, c) for i, c in self.dims), self.syms,
+            tuple((k, op.insert_dims(at, count), b, c) for k, op, b, c in self.divs),
+            self.const)
+
 
 def _as_expr(v):
-    if isinstance(v, AffineExpr):
-        return v
-    if isinstance(v, int):
-        return Const(v)
-    raise MalformedExpressionError("not an affine expression: %r" % (v,))
+    return v if isinstance(v, AffineExpr) else Const(v)
 
 
-@dataclass(frozen=True)
-class DimRef(AffineExpr):
-    index: int
+def _terms(coefs):
+    return tuple(sorted((i, c) for i, c in coefs.items() if c))
 
 
-@dataclass(frozen=True)
-class SymRef(AffineExpr):
-    index: int
+def _sum(scaled):
+    """Canonical form of the sum of ``scale * expr`` over (expr, scale)."""
+    dims, syms, divs, const = {}, {}, {}, 0
+    for e, s in scaled:
+        for i, c in e.dims:
+            dims[i] = dims.get(i, 0) + s * c
+        for j, c in e.syms:
+            syms[j] = syms.get(j, 0) + s * c
+        for k, op, b, c in e.divs:
+            divs[k, op, b] = divs.get((k, op, b), 0) + s * c
+        const += s * e.const
+    return AffineExpr(_terms(dims), _terms(syms),
+                      tuple(atom + (c,) for atom, c in sorted(divs.items()) if c), const)
 
 
-@dataclass(frozen=True)
-class Const(AffineExpr):
-    value: int
+def _linear(dim_coefs, sym_coefs, const):
+    """The div-free form with the given dense coefficient lists."""
+    return AffineExpr(tuple((i, c) for i, c in enumerate(dim_coefs) if c),
+                      tuple((j, c) for j, c in enumerate(sym_coefs) if c), (), const)
 
 
-@dataclass(frozen=True)
-class Add(AffineExpr):
-    lhs: AffineExpr
-    rhs: AffineExpr
+def _index(i, what):
+    if not isinstance(i, int) or i < 0:
+        raise MalformedExpressionError("%s index must be a non-negative integer: %r" % (what, i))
+    return ((i, 1),)
 
 
-@dataclass(frozen=True)
-class Mul(AffineExpr):
-    operand: AffineExpr
-    coef: int
+def DimRef(index):
+    return AffineExpr(dims=_index(index, "dim"))
 
 
-@dataclass(frozen=True)
-class FloorDiv(AffineExpr):
-    operand: AffineExpr
-    divisor: int
+def SymRef(index):
+    return AffineExpr(syms=_index(index, "symbol"))
 
 
-@dataclass(frozen=True)
-class CeilDiv(AffineExpr):
-    operand: AffineExpr
-    divisor: int
+def Const(value):
+    if not isinstance(value, int):
+        raise MalformedExpressionError("not an affine expression: %r" % (value,))
+    return AffineExpr(const=value)
 
 
-@dataclass(frozen=True)
-class Mod(AffineExpr):
-    operand: AffineExpr
-    divisor: int
+def _apply(kind, x, b):
+    if kind == FLOORDIV:
+        return x // b
+    if kind == CEILDIV:
+        return -(-x // b)
+    return x % b
 
 
-def _check_divisor(b):
+def _div(kind, e, b):
     if not isinstance(b, int) or b <= 0:
         raise MalformedExpressionError("divisor must be a positive integer: %r" % (b,))
+    e = _as_expr(e)
+    if e.is_const:
+        return Const(_apply(kind, e.const, b))
+    return AffineExpr(divs=((kind, e, b, 1),))
 
 
 def floordiv(e, b):
-    _check_divisor(b)
-    return FloorDiv(_as_expr(e), b)
+    return _div(FLOORDIV, e, b)
 
 
 def ceildiv(e, b):
-    _check_divisor(b)
-    return CeilDiv(_as_expr(e), b)
+    return _div(CEILDIV, e, b)
 
 
 def mod(e, b):
-    _check_divisor(b)
-    return Mod(_as_expr(e), b)
+    return _div(MOD, e, b)
 
 
 def eval_expr(expr, dims=(), syms=()):
@@ -137,148 +196,28 @@ def eval_expr(expr, dims=(), syms=()):
 
     floordiv rounds toward -inf; ceildiv(a, b) == floordiv(a + b - 1, b).
     """
-    if isinstance(expr, DimRef):
-        if not 0 <= expr.index < len(dims):
-            raise MalformedExpressionError("dim d%d out of range" % expr.index)
-        return dims[expr.index]
-    if isinstance(expr, SymRef):
-        if not 0 <= expr.index < len(syms):
-            raise MalformedExpressionError("symbol s%d out of range" % expr.index)
-        return syms[expr.index]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Add):
-        return eval_expr(expr.lhs, dims, syms) + eval_expr(expr.rhs, dims, syms)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.operand, dims, syms) * expr.coef
-    if isinstance(expr, FloorDiv):
-        _check_divisor(expr.divisor)
-        return eval_expr(expr.operand, dims, syms) // expr.divisor
-    if isinstance(expr, CeilDiv):
-        _check_divisor(expr.divisor)
-        return -((-eval_expr(expr.operand, dims, syms)) // expr.divisor)
-    if isinstance(expr, Mod):
-        _check_divisor(expr.divisor)
-        return eval_expr(expr.operand, dims, syms) % expr.divisor
-    raise MalformedExpressionError("unknown expression node %r" % (expr,))
-
-
-# -- canonical form ---------------------------------------------------------
-#
-# A canonical expression is a flat sum of (atom, coefficient) terms plus a
-# constant, with atoms ordered dims < syms < div-atoms and duplicate atoms
-# merged.  Div atoms keep their operand canonical.
-
-
-def _atom_key(atom):
-    if isinstance(atom, DimRef):
-        return (0, atom.index, "")
-    if isinstance(atom, SymRef):
-        return (1, atom.index, "")
-    return (2, 0, repr(atom))
-
-
-def _collect(expr, scale, terms, const):
-    if isinstance(expr, Const):
-        return const + scale * expr.value
-    if isinstance(expr, (DimRef, SymRef)):
-        terms[expr] = terms.get(expr, 0) + scale
-        return const
-    if isinstance(expr, Add):
-        const = _collect(expr.lhs, scale, terms, const)
-        return _collect(expr.rhs, scale, terms, const)
-    if isinstance(expr, Mul):
-        return _collect(expr.operand, scale * expr.coef, terms, const)
-    if isinstance(expr, (FloorDiv, CeilDiv, Mod)):
-        _check_divisor(expr.divisor)
-        inner = canon(expr.operand)
-        if isinstance(inner, Const):
-            b = expr.divisor
-            if isinstance(expr, FloorDiv):
-                return const + scale * (inner.value // b)
-            if isinstance(expr, CeilDiv):
-                return const + scale * -((-inner.value) // b)
-            return const + scale * (inner.value % b)
-        atom = type(expr)(inner, expr.divisor)
-        terms[atom] = terms.get(atom, 0) + scale
-        return const
-    raise MalformedExpressionError("unknown expression node %r" % (expr,))
-
-
-def canon(expr):
-    """Return the canonical form of ``expr`` (merged, ordered terms)."""
-    terms, const = {}, 0
-    const = _collect(expr, 1, terms, const)
-    items = sorted(((a, c) for a, c in terms.items() if c != 0), key=lambda t: _atom_key(t[0]))
-    out = None
-    for atom, coef in items:
-        t = atom if coef == 1 else Mul(atom, coef)
-        out = t if out is None else Add(out, t)
-    if out is None:
-        return Const(const)
-    if const != 0:
-        out = Add(out, Const(const))
-    return out
-
-
-def expr_terms(expr):
-    """Canonical (terms dict, const) view of ``expr``."""
-    terms, const = {}, 0
-    const = _collect(expr, 1, terms, const)
-    return {a: c for a, c in terms.items() if c != 0}, const
+    v = expr.const
+    try:
+        for i, c in expr.dims:
+            v += c * dims[i]
+        for j, c in expr.syms:
+            v += c * syms[j]
+    except IndexError:
+        expr.check_range(len(dims), len(syms))
+        raise
+    for kind, op, b, c in expr.divs:
+        v += c * _apply(kind, eval_expr(op, dims, syms), b)
+    return v
 
 
 def subst_expr(expr, dim_exprs, sym_exprs=None):
     """Substitute dims (and optionally symbols) by expressions."""
-    if isinstance(expr, DimRef):
-        return dim_exprs[expr.index]
-    if isinstance(expr, SymRef):
-        return expr if sym_exprs is None else sym_exprs[expr.index]
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Add):
-        return Add(subst_expr(expr.lhs, dim_exprs, sym_exprs),
-                   subst_expr(expr.rhs, dim_exprs, sym_exprs))
-    if isinstance(expr, Mul):
-        return Mul(subst_expr(expr.operand, dim_exprs, sym_exprs), expr.coef)
-    if isinstance(expr, (FloorDiv, CeilDiv, Mod)):
-        return type(expr)(subst_expr(expr.operand, dim_exprs, sym_exprs), expr.divisor)
-    raise MalformedExpressionError("unknown expression node %r" % (expr,))
-
-
-def shift_dims(expr, offset):
-    """Renumber every dim reference by ``offset``."""
-    if isinstance(expr, DimRef):
-        return DimRef(expr.index + offset)
-    if isinstance(expr, (SymRef, Const)):
-        return expr
-    if isinstance(expr, Add):
-        return Add(shift_dims(expr.lhs, offset), shift_dims(expr.rhs, offset))
-    if isinstance(expr, Mul):
-        return Mul(shift_dims(expr.operand, offset), expr.coef)
-    if isinstance(expr, (FloorDiv, CeilDiv, Mod)):
-        return type(expr)(shift_dims(expr.operand, offset), expr.divisor)
-    raise MalformedExpressionError("unknown expression node %r" % (expr,))
-
-
-def max_dim_index(expr):
-    if isinstance(expr, DimRef):
-        return expr.index
-    if isinstance(expr, Add):
-        return max(max_dim_index(expr.lhs), max_dim_index(expr.rhs))
-    if isinstance(expr, (Mul, FloorDiv, CeilDiv, Mod)):
-        return max_dim_index(expr.operand)
-    return -1
-
-
-def max_sym_index(expr):
-    if isinstance(expr, SymRef):
-        return expr.index
-    if isinstance(expr, Add):
-        return max(max_sym_index(expr.lhs), max_sym_index(expr.rhs))
-    if isinstance(expr, (Mul, FloorDiv, CeilDiv, Mod)):
-        return max_sym_index(expr.operand)
-    return -1
+    parts = [(Const(expr.const), 1)]
+    parts += [(dim_exprs[i], c) for i, c in expr.dims]
+    parts += [(SymRef(j) if sym_exprs is None else sym_exprs[j], c) for j, c in expr.syms]
+    parts += [(_div(k, subst_expr(op, dim_exprs, sym_exprs), b), c)
+              for k, op, b, c in expr.divs]
+    return _sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +379,12 @@ class IntegerSet:
                 raise MalformedExpressionError("bad constraint kind %r" % (kind,))
             vec = b.lin(expr)
             parsed.append((vec, kind == EQ))
-        ne = num_exists + b.num_new
-        nvar = num_dims + ne + num_syms
-        rows = []
-        for vec, is_eq in parsed + [(v, False) for v in b.extra]:
-            rows.append((b.materialize(vec, num_dims, num_exists, num_syms), is_eq))
         out = []
-        for coeffs, is_eq in rows:
-            if len(coeffs) != nvar + 1:
-                raise AssertionError("row width mismatch")
-            r = _norm_row(coeffs, is_eq)
+        for vec, is_eq in parsed + [(v, False) for v in b.extra]:
+            r = _norm_row(b.materialize(vec, num_syms), is_eq)
             if r is not None:
                 out.append(r)
-        return IntegerSet(num_dims, ne, num_syms, _prune_rows(out))
+        return IntegerSet(num_dims, num_exists + b.num_new, num_syms, _prune_rows(out))
 
     # -- views ------------------------------------------------------------
 
@@ -460,18 +392,9 @@ class IntegerSet:
     def constraints(self):
         """Constraints as (AffineExpr, kind) pairs; existentials appear as
         dims with indices >= num_dims."""
-        out = []
         nd = self.num_dims + self.num_exists
-        for coeffs, is_eq in self.rows:
-            e = Const(coeffs[-1])
-            for i in range(nd):
-                if coeffs[i]:
-                    e = Add(e, Mul(DimRef(i), coeffs[i]))
-            for j in range(self.num_syms):
-                if coeffs[nd + j]:
-                    e = Add(e, Mul(SymRef(j), coeffs[nd + j]))
-            out.append((canon(e), EQ if is_eq else INEQ))
-        return out
+        return [(_linear(coeffs[:nd], coeffs[nd:-1], coeffs[-1]), EQ if is_eq else INEQ)
+                for coeffs, is_eq in self.rows]
 
     def contains(self, point, syms=()):
         """Exact membership test for a concrete dim point (existentials are
@@ -591,25 +514,15 @@ class IntegerSet:
             a = coeffs[dim]
             if a == 0:
                 continue
-            rest = Const(coeffs[-1])
-            for i in range(dim):
-                if coeffs[i]:
-                    rest = Add(rest, Mul(DimRef(i), coeffs[i]))
-            for j in range(self.num_syms):
-                if coeffs[dim + 1 + j]:
-                    rest = Add(rest, Mul(SymRef(j), coeffs[dim + 1 + j]))
-            sides = [(a, rest)]
-            if is_eq:
-                sides.append((-a, Mul(rest, -1)))
-            for a2, rest2 in sides:
+            # a*x + rest >= 0 (== 0 for an equality, which bounds both ways)
+            rest = _linear(coeffs[:dim], coeffs[dim + 1:-1], coeffs[-1])
+            for a2, rest2 in [(a, rest)] + ([(-a, -rest)] if is_eq else []):
                 if a2 > 0:
-                    lo = Mul(rest2, -1) if a2 == 1 else CeilDiv(canon(Mul(rest2, -1)), a2)
-                    lowers.append(canon(lo))
+                    lowers.append(-rest2 if a2 == 1 else ceildiv(-rest2, a2))
                 else:
-                    up = rest2 if a2 == -1 else FloorDiv(canon(rest2), -a2)
-                    uppers.append(canon(up))
-        lowers = _dedup_exprs(lowers)
-        uppers = _dedup_exprs(uppers)
+                    uppers.append(rest2 if a2 == -1 else floordiv(rest2, -a2))
+        lowers = sorted(set(lowers))
+        uppers = sorted(set(uppers))
         if not lowers or not uppers:
             side = "lower" if not lowers else "upper"
             raise UnboundedDimensionError("dim %d has no finite %s bound" % (dim, side))
@@ -712,19 +625,10 @@ def _scan_rows(rows, nvars, prefix):
             yield from _scan_rows(sub, nvars - 1, prefix + (v,))
 
 
-def _dedup_exprs(exprs):
-    seen, out = set(), []
-    for e in exprs:
-        k = repr(e)
-        if k not in seen:
-            seen.add(k)
-            out.append(e)
-    out.sort(key=repr)
-    return out
-
-
 class _LinBuilder:
-    """Linearizes expressions, allocating existentials for div/mod terms."""
+    """Linearizes expressions into {column key: coefficient} vectors,
+    allocating one existential ("q", k) per distinct floordiv; ceildiv and
+    mod are rewritten onto floordiv."""
 
     def __init__(self, num_dims, num_syms):
         self.nd = num_dims
@@ -733,69 +637,51 @@ class _LinBuilder:
         self.extra = []  # constraint vectors (>= 0) defining the existentials
         self._memo = {}
 
-    def lin(self, expr):
-        if isinstance(expr, DimRef):
-            if not 0 <= expr.index < self.nd:
-                raise MalformedExpressionError("dim d%d out of range" % expr.index)
-            return {("d", expr.index): 1}
-        if isinstance(expr, SymRef):
-            if not 0 <= expr.index < self.ns:
-                raise MalformedExpressionError("symbol s%d out of range" % expr.index)
-            return {("s", expr.index): 1}
-        if isinstance(expr, Const):
-            return {"const": expr.value}
-        if isinstance(expr, Add):
-            a, b = self.lin(expr.lhs), self.lin(expr.rhs)
-            for k, v in b.items():
-                a[k] = a.get(k, 0) + v
-            return a
-        if isinstance(expr, Mul):
-            a = self.lin(expr.operand)
-            return {k: v * expr.coef for k, v in a.items()}
-        if isinstance(expr, (FloorDiv, CeilDiv, Mod)):
-            _check_divisor(expr.divisor)
-            b = expr.divisor
-            if isinstance(expr, CeilDiv):
-                return self.lin(FloorDiv(Add(expr.operand, Const(b - 1)), b))
-            if isinstance(expr, Mod):
-                q = self._floordiv(expr.operand, b)
-                vec = self.lin(expr.operand)
-                vec[q] = vec.get(q, 0) - b
-                return vec
-            return {self._floordiv(expr.operand, b): 1}
-        raise MalformedExpressionError("unknown expression node %r" % (expr,))
+    def lin(self, e):
+        e.check_range(self.nd, self.ns)
+        vec = {("d", i): c for i, c in e.dims}
+        vec.update((("s", j), c) for j, c in e.syms)
+        vec["const"] = e.const
+        for kind, op, b, c in e.divs:
+            q = self._floordiv(op + (b - 1) if kind == CEILDIV else op, b)
+            if kind == MOD:  # c * (op - b*q)
+                for k, v in self.lin(op).items():
+                    vec[k] = vec.get(k, 0) + c * v
+                c *= -b
+            vec[q] = vec.get(q, 0) + c
+        return vec
 
     def _floordiv(self, operand, b):
-        key = (repr(canon(operand)), b)
+        key = (operand, b)
         if key in self._memo:
             return self._memo[key]
         vec = self.lin(operand)
         q = ("q", self.num_new)
         self.num_new += 1
         lo = dict(vec)
-        lo[q] = lo.get(q, 0) - b  # e - b*q >= 0
+        lo[q] = -b  # e - b*q >= 0
         hi = {k: -v for k, v in vec.items()}
-        hi[q] = hi.get(q, 0) + b
-        hi["const"] = hi.get("const", 0) + b - 1  # b*q + b - 1 - e >= 0
+        hi[q] = b
+        hi["const"] += b - 1  # b*q + b - 1 - e >= 0
         self.extra.append(lo)
         self.extra.append(hi)
         self._memo[key] = q
         return q
 
-    def materialize(self, vec, num_dims, num_exists, num_syms):
-        out = [0] * (num_dims + num_exists + self.num_new + num_syms + 1)
+    def materialize(self, vec, num_syms):
+        """Row over (dims and given existentials, new existentials,
+        symbols, constant)."""
+        s0 = self.nd + self.num_new
+        out = [0] * (s0 + num_syms + 1)
         for k, v in vec.items():
             if k == "const":
                 out[-1] += v
             elif k[0] == "d":
-                if k[1] < num_dims:
-                    out[k[1]] += v
-                else:  # pre-existing existential
-                    out[k[1]] += v
+                out[k[1]] += v
             elif k[0] == "q":
-                out[num_dims + num_exists + k[1]] += v
+                out[self.nd + k[1]] += v
             else:
-                out[num_dims + num_exists + self.num_new + k[1]] += v
+                out[s0 + k[1]] += v
         return tuple(out)
 
 
@@ -838,10 +724,9 @@ class AffineMap:
     results: tuple  # of AffineExpr
 
     def __post_init__(self):
-        object.__setattr__(self, "results", tuple(canon(r) for r in self.results))
+        object.__setattr__(self, "results", tuple(_as_expr(r) for r in self.results))
         for r in self.results:
-            if max_dim_index(r) >= self.num_dims or max_sym_index(r) >= self.num_syms:
-                raise MalformedExpressionError("map result references out-of-range dim/symbol")
+            r.check_range(self.num_dims, self.num_syms)
 
     @staticmethod
     def identity(n, num_syms=0):
@@ -866,30 +751,14 @@ class AffineMap:
         """Left-multiply the result vector by a unimodular matrix."""
         n = len(self.results)
         _unimodular_inverse(matrix, n)  # arity + determinant check
-        res = []
-        for row in matrix:
-            e = Const(0)
-            for c, r in zip(row, self.results):
-                if c:
-                    e = Add(e, Mul(r, c))
-            res.append(e)
-        return AffineMap(self.num_dims, self.num_syms, tuple(res))
+        res = tuple(_sum(zip(self.results, row)) for row in matrix)
+        return AffineMap(self.num_dims, self.num_syms, res)
 
     def insert_dims(self, at, count):
         """Renumber dims to make room for ``count`` new dims at ``at`` (the
         results do not use the new dims)."""
-        def bump(e):
-            if isinstance(e, DimRef):
-                return DimRef(e.index + count if e.index >= at else e.index)
-            if isinstance(e, (SymRef, Const)):
-                return e
-            if isinstance(e, Add):
-                return Add(bump(e.lhs), bump(e.rhs))
-            if isinstance(e, Mul):
-                return Mul(bump(e.operand), e.coef)
-            return type(e)(bump(e.operand), e.divisor)
         return AffineMap(self.num_dims + count, self.num_syms,
-                         tuple(bump(r) for r in self.results))
+                         tuple(r.insert_dims(at, count) for r in self.results))
 
     def __str__(self):
         return format_map(self)
@@ -901,39 +770,27 @@ class AffineMap:
 
 
 def format_expr(expr, dim_names=None, sym_names=None):
-    terms, const = expr_terms(expr)
-    items = sorted(terms.items(), key=lambda t: _atom_key(t[0]))
-
-    def atom_str(atom):
-        if isinstance(atom, DimRef):
-            return dim_names[atom.index] if dim_names else "d%d" % atom.index
-        if isinstance(atom, SymRef):
-            return sym_names[atom.index] if sym_names else "s%d" % atom.index
-        op = {FloorDiv: "floordiv", CeilDiv: "ceildiv", Mod: "mod"}[type(atom)]
-        inner = format_expr(atom.operand, dim_names, sym_names)
-        if isinstance(canon(atom.operand), (DimRef, SymRef)):
-            return "%s %s %d" % (inner, op, atom.divisor)
-        return "(%s) %s %d" % (inner, op, atom.divisor)
-
-    def term_str(atom, coef):
-        s = atom_str(atom)
-        if abs(coef) != 1:
-            if isinstance(atom, (FloorDiv, CeilDiv, Mod)):
-                s = "(%s)" % s
-            s = "%s * %d" % (s, abs(coef))
-        return s
-
+    terms = [(dim_names[i] if dim_names else "d%d" % i, c) for i, c in expr.dims]
+    terms += [(sym_names[j] if sym_names else "s%d" % j, c) for j, c in expr.syms]
+    for kind, op, b, c in expr.divs:
+        inner = format_expr(op, dim_names, sym_names)
+        refs = op.dims + op.syms
+        if op.const or op.divs or len(refs) != 1 or refs[0][1] != 1:
+            inner = "(%s)" % inner  # not a bare dim or symbol
+        atom = "%s %s %d" % (inner, kind, b)
+        terms.append((atom if abs(c) == 1 else "(%s)" % atom, c))
     parts = []
-    for atom, coef in items:
+    for s, c in terms:
+        if abs(c) != 1:
+            s = "%s * %d" % (s, abs(c))
         if not parts:
-            parts.append(("-" if coef < 0 else "") + term_str(atom, coef))
+            parts.append(("-" if c < 0 else "") + s)
         else:
-            parts.append(("- " if coef < 0 else "+ ") + term_str(atom, coef))
-    if const != 0 or not parts:
-        if not parts:
-            parts.append(str(const))
-        else:
-            parts.append(("- %d" if const < 0 else "+ %d") % abs(const))
+            parts.append(("- " if c < 0 else "+ ") + s)
+    if not parts:
+        parts.append(str(expr.const))
+    elif expr.const:
+        parts.append(("- %d" if expr.const < 0 else "+ %d") % abs(expr.const))
     return " ".join(parts)
 
 
@@ -975,7 +832,7 @@ class _AffineParser:
         while self.cur.peek()[1] in ("+", "-"):
             op = self.cur.next()[1]
             rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Add(e, Mul(rhs, -1))
+            e = e + rhs if op == "+" else e - rhs
         return e
 
     def term(self):
@@ -985,19 +842,18 @@ class _AffineParser:
             if v == "*":
                 self.cur.next()
                 rhs = self.unary()
-                if isinstance(rhs, Const):
-                    e = Mul(e, rhs.value)
-                elif isinstance(canon(e), Const):
-                    e = Mul(rhs, canon(e).value)
+                if rhs.is_const:
+                    e = e * rhs.const
+                elif e.is_const:
+                    e = rhs * e.const
                 else:
                     raise ParseError("non-affine product", *pos)
-            elif v in ("floordiv", "ceildiv", "mod"):
+            elif v in (FLOORDIV, CEILDIV, MOD):
                 self.cur.next()
                 rhs = self.unary()
-                rc = canon(rhs)
-                if not isinstance(rc, Const) or rc.value <= 0:
+                if not rhs.is_const or rhs.const <= 0:
                     raise ParseError("%s needs a positive constant divisor" % v, *pos)
-                e = {"floordiv": FloorDiv, "ceildiv": CeilDiv, "mod": Mod}[v](e, rc.value)
+                e = _div(v, e, rhs.const)
             else:
                 return e
 
@@ -1005,7 +861,7 @@ class _AffineParser:
         kind, v, pos = self.cur.peek()
         if v == "-":
             self.cur.next()
-            return Mul(self.unary(), -1)
+            return -self.unary()
         return self.primary()
 
     def primary(self):
@@ -1079,7 +935,7 @@ def parse_set_at(cur):
         if v not in (">=", "<=", "=="):
             raise ParseError("expected comparison, found %r" % v, *pos)
         rhs = p.expr()
-        diff = Add(lhs, Mul(rhs, -1)) if v in (">=", "==") else Add(rhs, Mul(lhs, -1))
+        diff = lhs - rhs if v in (">=", "==") else rhs - lhs
         cons.append((diff, EQ if v == "==" else INEQ))
         if cur.peek()[1] == ",":
             cur.next()

@@ -15,7 +15,7 @@ import sys
 
 from . import frontend as fe
 from . import hls, interp
-from .affine import INEQ, EQ, Add, Const, Mul, SymRef
+from .affine import INEQ, EQ, SymRef
 from .codegen import dump_bounds, generate_loops, simplify_bounds
 from .dependence import compute_dependences, dump_deps
 from .errors import PolyHlsError
@@ -150,16 +150,15 @@ def _parse_assumptions(texts, symbols):
         name, op, val = m.group(1), m.group(2), int(m.group(3))
         if name not in symbols:
             raise _UserError("assumption %r: unknown symbol %r" % (t, name))
-        s = SymRef(symbols.index(name))
-        diff = Add(s, Const(-val))  # sym - val
+        diff = SymRef(symbols.index(name)) - val
         if op == ">=":
             cons.append((diff, INEQ))
         elif op == ">":
-            cons.append((Add(diff, Const(-1)), INEQ))
+            cons.append((diff - 1, INEQ))
         elif op == "<=":
-            cons.append((Mul(diff, -1), INEQ))
+            cons.append((-diff, INEQ))
         elif op == "<":
-            cons.append((Add(Mul(diff, -1), Const(-1)), INEQ))
+            cons.append((-diff - 1, INEQ))
         else:
             cons.append((diff, EQ))
     return cons

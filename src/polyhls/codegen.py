@@ -10,18 +10,7 @@ domain separation is attempted.
 
 from __future__ import annotations
 
-from .affine import (
-    EQ,
-    INEQ,
-    Add,
-    AffineMap,
-    Const,
-    DimRef,
-    IntegerSet,
-    Mul,
-    SymRef,
-    shift_dims,
-)
+from .affine import EQ, INEQ, AffineMap, DimRef, IntegerSet, SymRef
 from .errors import CodegenError
 from .ir import AffineIrModule, Call, For, If, MapRef, SetRef, StmtDef
 
@@ -35,8 +24,7 @@ def _scan_set(scop, stmt):
     base = stmt.domain.insert_dims(0, L)
     cons = []
     for i, lvl in enumerate(levels):
-        res = shift_dims(stmt.schedule.results[lvl], L)
-        cons.append((Add(DimRef(i), Mul(res, -1)), EQ))
+        cons.append((DimRef(i) - stmt.schedule.results[lvl].insert_dims(0, L), EQ))
     ties = IntegerSet.from_constraints(L + nd, len(scop.symbols), cons)
     return base.intersect(ties)
 
@@ -49,9 +37,9 @@ def _stmt_is_empty(scop, stmt):
 def _level_var_name(scop, group, level, loop_index, taken):
     name = None
     for s in group:
-        r = s.schedule.results[level]
-        if isinstance(r, DimRef):
-            n = s.dim_names[r.index]
+        d = s.schedule.results[level].as_dim()
+        if d is not None:
+            n = s.dim_names[d]
             if name in (None, n):
                 name = n
                 continue
@@ -105,9 +93,9 @@ def generate_loops(scop):
     for s in stmts:
         mapping = {}
         for lvl in levels:
-            r = s.schedule.results[lvl]
-            if isinstance(r, DimRef):
-                mapping[r.index] = level_loop_index[lvl]
+            d = s.schedule.results[lvl].as_dim()
+            if d is not None:
+                mapping[d] = level_loop_index[lvl]
         dim_level[s.name] = mapping
 
     def leaf(stmt, var_names):
@@ -128,28 +116,26 @@ def generate_loops(scop):
         if level == depth:
             return tuple(leaf(s, var_names) for s in group)
         consts = [s.schedule.results[level] for s in group]
-        if all(isinstance(c, Const) for c in consts):
-            order = sorted(set(c.value for c in consts))
+        if all(c.is_const for c in consts):
             out = []
-            for v in order:
-                sub = [s for s, c in zip(group, consts) if c.value == v]
+            for v in sorted(set(c.const for c in consts)):
+                sub = [s for s, c in zip(group, consts) if c.const == v]
                 out.extend(gen(sub, level + 1, var_names))
             return tuple(out)
-        if any(isinstance(c, Const) for c in consts):
+        if any(c.is_const for c in consts):
             raise CodegenError(
                 "mixed constant/loop schedule results at time level %d" % level)
         li = level_loop_index[level]
         bounds = None
         for s in group:
-            lo, up = scan_sets[s.name].bounds_for_dim(li)
-            key = ([repr(e) for e in lo], [repr(e) for e in up])
+            b = scan_sets[s.name].bounds_for_dim(li)
             if bounds is None:
-                bounds = (lo, up, key)
-            elif bounds[2] != key:
+                bounds = b
+            elif b != bounds:
                 raise CodegenError(
                     "statements %s share a loop level with differing bounds"
                     % [s.name for s in group])
-        lo, up, _ = bounds
+        lo, up = bounds
         var = _level_var_name(scop, group, level, li, set(var_names))
         operands = tuple(var_names[:li])
         lb = MapRef(AffineMap(li, len(syms), tuple(lo)), operands, syms)
@@ -195,12 +181,11 @@ def simplify_bounds(module, context=None):
     ns = len(module.symbols)
     if context is None:
         context = IntegerSet.from_constraints(
-            0, ns, [(Add(SymRef(i), Const(-1)), INEQ) for i in range(ns)])
+            0, ns, [(SymRef(i) - 1, INEQ) for i in range(ns)])
 
     def dominated(e1, e2, rows, nouter, drop_if):
         # drop_if "ge": drop e1 when e1 >= e2 always; "le": when e1 <= e2
-        diff = Add(e1, Mul(e2, -1))
-        test = Add(Mul(diff, -1), Const(-1)) if drop_if == "ge" else Add(diff, Const(-1))
+        test = e2 - e1 - 1 if drop_if == "ge" else e1 - e2 - 1
         cons = list(rows) + [(test, INEQ)]
         s = IntegerSet.from_constraints(nouter, ns, cons)
         return s.is_empty()
@@ -232,9 +217,9 @@ def simplify_bounds(module, context=None):
                 var = DimRef(nouter)
                 inner = list(rows)
                 for e in lo:
-                    inner.append((Add(var, Mul(e, -1)), INEQ))
+                    inner.append((var - e, INEQ))
                 for e in up:
-                    inner.append((Add(e, Mul(var, -1)), INEQ))
+                    inner.append((e - var, INEQ))
                 body = walk(op.body, inner, nouter + 1)
                 out.append(For(op.var,
                                MapRef(AffineMap(nouter, ns, lo), op.lb.dims, op.lb.syms),

@@ -11,18 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import (
-    EQ,
-    INEQ,
-    Add,
-    Const,
-    IntegerSet,
-    Mul,
-    format_set,
-    shift_dims,
-    subst_expr,
-    DimRef,
-)
+from .affine import EQ, INEQ, IntegerSet, format_set
 
 FLOW = "flow"
 ANTI = "anti"
@@ -58,14 +47,14 @@ def _pair_relation(scop, sp, sq, acc_p, acc_q, level):
     rel = base_p.intersect(base_q)
     cons = []
     for ep, eq_ in zip(acc_p.results, acc_q.results):
-        cons.append((Add(ep, Mul(shift_dims(eq_, dp), -1)), EQ))
+        cons.append((ep - eq_.insert_dims(0, dp), EQ))
     for lvl in range(level):
         tp = sp.schedule.results[lvl]
-        tq = shift_dims(sq.schedule.results[lvl], dp)
-        cons.append((Add(tp, Mul(tq, -1)), EQ))
+        tq = sq.schedule.results[lvl].insert_dims(0, dp)
+        cons.append((tp - tq, EQ))
     tp = sp.schedule.results[level]
-    tq = shift_dims(sq.schedule.results[level], dp)
-    cons.append((Add(tq, Mul(Add(tp, Const(1)), -1)), INEQ))  # tq - tp - 1 >= 0
+    tq = sq.schedule.results[level].insert_dims(0, dp)
+    cons.append((tq - tp - 1, INEQ))
     order = IntegerSet.from_constraints(dp + dq, ns, cons)
     ctx = scop.context.insert_dims(0, dp + dq)
     return rel.intersect(order).intersect(ctx)
@@ -92,10 +81,9 @@ def _is_uniform(scop, dep_rel, sp, sq, loop_levels, cand):
     dp = sp.domain.num_dims
     for l, v in zip(loop_levels, cand):
         tp = sp.schedule.results[l]
-        tq = shift_dims(sq.schedule.results[l], dp)
-        diff = Add(tq, Mul(tp, -1))
-        for expr in (Add(diff, Const(-v - 1)),  # diff >= v+1
-                     Add(Mul(diff, -1), Const(v - 1))):  # diff <= v-1
+        diff = sq.schedule.results[l].insert_dims(0, dp) - tp
+        for expr in (diff - v - 1,  # diff >= v+1
+                     v - 1 - diff):  # diff <= v-1
             test = dep_rel.intersect(IntegerSet.from_constraints(
                 dep_rel.num_dims, dep_rel.num_syms, [(expr, INEQ)]))
             if not test.is_empty():

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import frontend as fe
-from .affine import Add, CeilDiv, Const, DimRef, FloorDiv, Mod, Mul, SymRef
+from .affine import FLOORDIV, MOD
 from .errors import CodegenError, InterpError
-from .ir import AffineIrModule, Call, For, If, StmtDef
+from .ir import AffineIrModule, Call, For, If
 
 
 # ---------------------------------------------------------------------------
@@ -78,34 +78,29 @@ def _fold(fn, exprs):
 
 
 def _cexpr(e, dims, syms):
-    if isinstance(e, Const):
-        return fe.IntLit(e.value)
-    if isinstance(e, DimRef):
-        return fe.Name(dims[e.index])
-    if isinstance(e, SymRef):
-        return fe.Name(syms[e.index])
-    if isinstance(e, Add):
-        lhs, rhs = _cexpr(e.lhs, dims, syms), _cexpr(e.rhs, dims, syms)
-        if isinstance(rhs, fe.IntLit) and rhs.value < 0:
-            return fe.BinOp("-", lhs, fe.IntLit(-rhs.value))
-        if isinstance(rhs, fe.BinOp) and rhs.op == "*" and isinstance(rhs.rhs, fe.IntLit) \
-                and rhs.rhs.value < 0:
-            neg = rhs.lhs if rhs.rhs.value == -1 else \
-                fe.BinOp("*", rhs.lhs, fe.IntLit(-rhs.rhs.value))
-            return fe.BinOp("-", lhs, neg)
-        return fe.BinOp("+", lhs, rhs)
-    if isinstance(e, Mul):
-        if e.coef == 1:
-            return _cexpr(e.operand, dims, syms)
-        return fe.BinOp("*", _cexpr(e.operand, dims, syms), fe.IntLit(e.coef))
-    if isinstance(e, FloorDiv):
-        return fe.Call("floord", (_cexpr(e.operand, dims, syms), fe.IntLit(e.divisor)))
-    if isinstance(e, CeilDiv):
-        return fe.Call("ceild", (_cexpr(e.operand, dims, syms), fe.IntLit(e.divisor)))
-    if isinstance(e, Mod):
-        x, d = _cexpr(e.operand, dims, syms), fe.IntLit(e.divisor)
-        return fe.BinOp("-", x, fe.BinOp("*", fe.Call("floord", (x, d)), d))
-    raise CodegenError("cannot lower affine expression %r" % (e,))
+    """C form of an affine expression: its terms in key order, joined
+    left to right with `+`/`-`, then the constant."""
+    terms = [(fe.Name(dims[i]), c) for i, c in e.dims]
+    terms += [(fe.Name(syms[j]), c) for j, c in e.syms]
+    for kind, op, b, c in e.divs:
+        x, d = _cexpr(op, dims, syms), fe.IntLit(b)
+        if kind == MOD:  # x - floord(x, b) * b
+            atom = fe.BinOp("-", x, fe.BinOp("*", fe.Call("floord", (x, d)), d))
+        else:
+            atom = fe.Call("floord" if kind == FLOORDIV else "ceild", (x, d))
+        terms.append((atom, c))
+    out = None
+    for atom, c in terms:
+        if out is None:
+            out = atom if c == 1 else fe.BinOp("*", atom, fe.IntLit(c))
+        else:
+            mag = atom if abs(c) == 1 else fe.BinOp("*", atom, fe.IntLit(abs(c)))
+            out = fe.BinOp("-" if c < 0 else "+", out, mag)
+    if out is None:
+        return fe.IntLit(e.const)
+    if e.const:
+        out = fe.BinOp("-" if e.const < 0 else "+", out, fe.IntLit(abs(e.const)))
+    return out
 
 
 def _cond_from_setref(sr):

@@ -12,6 +12,7 @@ a seeded random order (`shuffle_seed`) to test order-independence.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import frontend as fe
@@ -202,6 +203,16 @@ def _run_scop(scop, machine):
 # Affine IR
 
 
+@contextmanager
+def _operands_bound():
+    """The loop executors index their env with map, set and call operands
+    unchecked; a name no enclosing loop or symbol binds ends here."""
+    try:
+        yield
+    except KeyError as e:
+        raise InterpError("unbound operand %r" % e.args[0]) from None
+
+
 def _run_ir(module, machine):
     stmt_by_name = {s.name: s for s in module.stmts}
     for s in module.symbols:
@@ -242,7 +253,8 @@ def _run_ir(module, machine):
             else:
                 raise InterpError("cannot execute op %r" % (op,))
 
-    exec_ops(module.body, {})
+    with _operands_bound():
+        exec_ops(module.body, {})
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +291,8 @@ def _run_loop_ast(ops, stmts, machine):
             else:
                 raise InterpError("cannot execute op %r" % (op,))
 
-    exec_ops(ops, dict(machine.symbols))
+    with _operands_bound():
+        exec_ops(ops, dict(machine.symbols))
 
 
 # ---------------------------------------------------------------------------

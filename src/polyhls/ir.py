@@ -35,19 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import frontend as fe
-from .affine import (
-    KEYWORDS,
-    AffineMap,
-    Add,
-    Const,
-    IntegerSet,
-    canon,
-    format_expr,
-    format_map,
-    format_set,
-    parse_map_at,
-    parse_set_at,
-)
+from .affine import (KEYWORDS, AffineMap, IntegerSet, format_map, format_set, parse_map_at,
+                     parse_set_at)
 from .errors import ParseError
 from .lexer import Cursor
 
@@ -116,33 +105,25 @@ class _MapTable:
     """Interns maps/sets in first-use order for deterministic numbering."""
 
     def __init__(self):
-        self.maps = []
-        self.sets = []
+        self.maps = {}  # map -> number, in first-use order
+        self.sets = {}
 
     def map_name(self, m):
-        for i, prev in enumerate(self.maps):
-            if prev == m:
-                return "#map%d" % i
-        self.maps.append(m)
-        return "#map%d" % (len(self.maps) - 1)
+        return "#map%d" % self.maps.setdefault(m, len(self.maps))
 
     def set_name(self, s):
-        for i, prev in enumerate(self.sets):
-            if prev == s:
-                return "#set%d" % i
-        self.sets.append(s)
-        return "#set%d" % (len(self.sets) - 1)
+        return "#set%d" % self.sets.setdefault(s, len(self.sets))
 
 
 def _shift_ub(m):
     """Inclusive -> exclusive upper bound map (+1 on every result)."""
     return AffineMap(m.num_dims, m.num_syms,
-                     tuple(canon(Add(r, Const(1))) for r in m.results))
+                     tuple(r + 1 for r in m.results))
 
 
 def _unshift_ub(m):
     return AffineMap(m.num_dims, m.num_syms,
-                     tuple(canon(Add(r, Const(-1))) for r in m.results))
+                     tuple(r - 1 for r in m.results))
 
 
 def _ref_str(name, dims, syms):

@@ -6,22 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import frontend as fe
-from .affine import (
-    EQ,
-    INEQ,
-    AffineExpr,
-    AffineMap,
-    Const,
-    DimRef,
-    IntegerSet,
-    Mul,
-    SymRef,
-    Add,
-    canon,
-    format_expr,
-    format_map,
-    format_set,
-)
+from .affine import EQ, INEQ, AffineMap, Const, DimRef, IntegerSet, SymRef, format_map, format_set
 from .errors import NonAffineError, ParseError
 
 
@@ -70,7 +55,7 @@ class Scop:
         out = []
         for lvl in range(self.time_depth):
             for s in self.statements:
-                if not isinstance(s.schedule.results[lvl], Const):
+                if not s.schedule.results[lvl].is_const:
                     out.append(lvl)
                     break
         return out
@@ -95,21 +80,20 @@ class _AffineConv:
         if isinstance(e, fe.BinOp):
             lhs, rhs = self.conv(e.lhs), self.conv(e.rhs)
             if e.op == "+":
-                return Add(lhs, rhs)
+                return lhs + rhs
             if e.op == "-":
-                return Add(lhs, Mul(rhs, -1))
-            lc, rc = canon(lhs), canon(rhs)
-            if isinstance(rc, Const):
-                return Mul(lhs, rc.value)
-            if isinstance(lc, Const):
-                return Mul(rhs, lc.value)
+                return lhs - rhs
+            if rhs.is_const:
+                return lhs * rhs.const
+            if lhs.is_const:
+                return rhs * lhs.const
             raise NonAffineError("non-affine product %r" % fe.format_expr(e))
         raise NonAffineError("non-affine expression %r" % fe.format_expr(e))
 
 
 def _cond_constraints(conv, stmt, negate=False):
     lhs, rhs = conv.conv(stmt.lhs), conv.conv(stmt.rhs)
-    diff = Add(lhs, Mul(rhs, -1))  # lhs - rhs
+    diff = lhs - rhs
     op = stmt.op
     if negate:
         neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
@@ -117,11 +101,11 @@ def _cond_constraints(conv, stmt, negate=False):
             raise NonAffineError("else-branch of an equality test is not affine")
         op = neg[op]
     if op == "<":
-        return [(Add(Mul(diff, -1), Const(-1)), INEQ)]  # rhs - lhs - 1 >= 0
+        return [(-diff - 1, INEQ)]  # rhs - lhs - 1 >= 0
     if op == "<=":
-        return [(Mul(diff, -1), INEQ)]
+        return [(-diff, INEQ)]
     if op == ">":
-        return [(Add(diff, Const(-1)), INEQ)]
+        return [(diff - 1, INEQ)]
     if op == ">=":
         return [(diff, INEQ)]
     return [(diff, EQ)]
@@ -130,7 +114,7 @@ def _cond_constraints(conv, stmt, negate=False):
 def default_context(symbols, assumptions=()):
     """Context set: every symbol >= 1 plus any extra assumptions, given as
     (AffineExpr, kind) pairs over the symbol space."""
-    cons = [(Add(SymRef(i), Const(-1)), INEQ) for i in range(len(symbols))]
+    cons = [(SymRef(i) - 1, INEQ) for i in range(len(symbols))]
     cons.extend(assumptions)
     return IntegerSet.from_constraints(0, len(symbols), cons)
 
@@ -195,7 +179,7 @@ def _build_scop(program, region, name, assumptions):
                 conv = _AffineConv([v for v, _, _ in loops], symbols)
                 try:
                     lb = conv.conv(node.lower)
-                    ub = Add(conv.conv(node.upper), Const(-1))  # inclusive
+                    ub = conv.conv(node.upper) - 1  # inclusive
                 except NonAffineError as e:
                     raise NonAffineError("loop bound of %r: %s" % (node.var, e))
                 walk(node.body, loops + [(node.var, lb, ub)], conds, path + [pos])
@@ -229,8 +213,8 @@ def _build_stmt(program, assign, name, loops, conds, path):
     for k, (v, lb, ub) in enumerate(loops):
         # lb/ub were converted in the scope of the outer loops only; their
         # dim indices already match this statement's dim space
-        cons.append((Add(DimRef(k), Mul(lb, -1)), INEQ))
-        cons.append((Add(ub, Mul(DimRef(k), -1)), INEQ))
+        cons.append((DimRef(k) - lb, INEQ))
+        cons.append((ub - DimRef(k), INEQ))
     cons.extend(conds)
     domain = IntegerSet.from_constraints(len(loops), len(symbols), cons)
 

@@ -11,20 +11,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .affine import (
-    EQ,
-    INEQ,
-    Add,
-    AffineMap,
-    Const,
-    DimRef,
-    IntegerSet,
-    Mul,
-    shift_dims,
-)
+from .affine import INEQ, AffineMap, Const, DimRef, IntegerSet
 from .dependence import compute_dependences, is_loop_parallel
 from .errors import IllegalTilingError, ArityMismatchError
-from .scop import PolyStmt, Scop, TilingInfo
+from .scop import TilingInfo
 
 
 class TilingSpec:
@@ -38,21 +28,23 @@ class TilingSpec:
 
 
 def _check_band_permutable(scop, band_levels):
-    """Every dependence not carried before the band must have provably
-    non-negative time difference at each band level."""
-    deps = compute_dependences(scop)
-    first = min(band_levels)
-    for dep in deps:
-        if dep.level < first:
-            continue
+    """Every dependence must have provably non-negative time difference at
+    each band level.
+
+    That includes the dependences carried before the band: `tile` puts the
+    tile loops above every original schedule level, outer loops and
+    statement sequence included, so a dependence carried there is ordered
+    first by the tile indices and stays respected only if they do not
+    decrease along it."""
+    for dep in compute_dependences(scop):
         sp = next(s for s in scop.statements if s.name == dep.source)
         sq = next(s for s in scop.statements if s.name == dep.target)
         dpd = dep.src_dims
         for lvl in band_levels:
             tp = sp.schedule.results[lvl]
-            tq = shift_dims(sq.schedule.results[lvl], dpd)
+            tq = sq.schedule.results[lvl].insert_dims(0, dpd)
             # infeasibility of diff <= -1 proves diff >= 0 everywhere
-            neg = Add(Mul(Add(tq, Mul(tp, -1)), -1), Const(-1))
+            neg = tp - tq - 1
             test = dep.relation.intersect(IntegerSet.from_constraints(
                 dep.relation.num_dims, dep.relation.num_syms, [(neg, INEQ)]))
             if not test.is_empty():
@@ -93,8 +85,8 @@ def tile(scop, spec):
         for k, (d, size) in enumerate(zip(band, sizes)):
             pt = DimRef(d + m)
             t = DimRef(k)
-            cons.append((Add(pt, Mul(t, -size)), INEQ))  # d - s*T >= 0
-            cons.append((Add(Mul(t, size), Add(Const(size - 1), Mul(pt, -1))), INEQ))
+            cons.append((pt - t * size, INEQ))  # d - s*T >= 0
+            cons.append((t * size + size - 1 - pt, INEQ))
         tile_cons = IntegerSet.from_constraints(dom.num_dims, ns, cons)
         dom = dom.intersect(tile_cons)
         sched = s.schedule.insert_dims(0, m)
@@ -136,7 +128,7 @@ def skew(scop, dims, factor):
     new_stmts = []
     for s in scop.statements:
         res = list(s.schedule.results)
-        res[la] = Add(res[la], Mul(res[lb], factor))
+        res[la] = res[la] + res[lb] * factor
         new_stmts.append(replace(s, schedule=AffineMap(s.schedule.num_dims,
                                                        s.schedule.num_syms, tuple(res))))
     return replace(scop, statements=tuple(new_stmts), parallel_levels=frozenset())
@@ -176,8 +168,8 @@ def sub_bounding_box_tile(scop, spec):
         cons = []
         for t, d, size in zip(info.tile_dims, info.point_dims, info.sizes):
             pt, tl = DimRef(d), DimRef(t)
-            cons.append((Add(pt, Mul(tl, -size)), INEQ))
-            cons.append((Add(Mul(tl, size), Add(Const(size - 1), Mul(pt, -1))), INEQ))
+            cons.append((pt - tl * size, INEQ))
+            cons.append((tl * size + size - 1 - pt, INEQ))
         box = IntegerSet.from_constraints(s.domain.num_dims, ns, cons)
         guard = orig if s.guard is None else orig.intersect(s.guard)
         new_stmts.append(replace(s, domain=emb.intersect(box), guard=guard))

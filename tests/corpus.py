@@ -135,6 +135,49 @@ ALL = (STENCIL2D, STENCIL1D, MATMUL, COPY, TWO_STMT, SAXPY, PASCAL,
 
 BY_NAME = {p.name: p for p in ALL}
 
+# Not in ALL: no band of either program can be tiled legally, so the
+# pipeline matrices over ALL would only see the rejection.  In TWO_NEST the
+# second nest runs j outside i; in JACOBI_2D the time loop carries the
+# dependences between the two sweeps.
+TWO_NEST = CorpusProgram("two_nest", """\
+int N;
+float A[N][N];
+float B[N][N];
+#pragma scop
+for (i = 0; i < N; i++) {
+  for (j = 0; j < N; j++) {
+    A[i][j] = A[i][j] + 1.0;
+  }
+}
+for (j = 0; j < N; j++) {
+  for (i = 0; i < N; i++) {
+    B[j][i] = A[i][j];
+  }
+}
+#pragma endscop
+""", depth=2)
+
+JACOBI_2D = CorpusProgram("jacobi-2d", """\
+int T;
+int N;
+float A[N][N];
+float B[N][N];
+#pragma scop
+for (t = 0; t < T; t++) {
+  for (i = 1; i < N - 1; i++) {
+    for (j = 1; j < N - 1; j++) {
+      B[i][j] = 0.2 * (A[i][j] + A[i][j-1] + A[i][j+1] + A[i+1][j] + A[i-1][j]);
+    }
+  }
+  for (i = 1; i < N - 1; i++) {
+    for (j = 1; j < N - 1; j++) {
+      A[i][j] = 0.2 * (B[i][j] + B[i][j-1] + B[i][j+1] + B[i+1][j] + B[i-1][j]);
+    }
+  }
+}
+#pragma endscop
+""", depth=3)
+
 
 def parse(p: CorpusProgram):
     return fe.parse_program(p.source)

@@ -6,23 +6,18 @@ from hypothesis import given, settings, strategies as st
 from polyhls.affine import (
     EQ,
     INEQ,
-    Add,
     AffineMap,
-    CeilDiv,
     Const,
     DimRef,
-    FloorDiv,
     IntegerSet,
-    Mod,
-    Mul,
     SymRef,
-    canon,
     ceildiv,
     eval_expr,
     floordiv,
     format_expr,
     format_map,
     format_set,
+    mod,
     parse_map,
     parse_set,
 )
@@ -39,15 +34,15 @@ def box(bounds, num_syms=0):
     """IntegerSet {lo_k <= d_k <= hi_k} from [(lo, hi), ...] of ints."""
     cons = []
     for k, (lo, hi) in enumerate(bounds):
-        cons.append((Add(DimRef(k), Const(-lo)), INEQ))
-        cons.append((Add(Const(hi), Mul(DimRef(k), -1)), INEQ))
+        cons.append((DimRef(k) - lo, INEQ))
+        cons.append((hi - DimRef(k), INEQ))
     return IntegerSet.from_constraints(len(bounds), num_syms, cons)
 
 
 class TestEvalExpr:
     def test_tile_ub_map_at_32(self):
         # ((s0 - 1) floordiv 16 + 1) at s0 = 32
-        e = Add(FloorDiv(Add(SymRef(0), Const(-1)), 16), Const(1))
+        e = floordiv(SymRef(0) - 1, 16) + 1
         assert eval_expr(e, (), (32,)) == 2
 
     def test_identity_dim(self):
@@ -55,7 +50,7 @@ class TestEvalExpr:
 
     def test_ceild_lbp_formula(self):
         # ceild(32*d0 - s0 + 1, 32) at d0=1, s0=40 -> ceil(-7/32) = 0
-        e = CeilDiv(Add(Mul(DimRef(0), 32), Add(Mul(SymRef(0), -1), Const(1))), 32)
+        e = ceildiv(DimRef(0) * 32 + (SymRef(0) * -1 + 1), 32)
         assert eval_expr(e, (1,), (40,)) == 0
 
     def test_index_out_of_range(self):
@@ -63,23 +58,23 @@ class TestEvalExpr:
             eval_expr(DimRef(2), (0,), ())
 
     def test_mod(self):
-        assert eval_expr(Mod(Const(-7), 3), (), ()) == 2
+        assert eval_expr(mod(Const(-7), 3), (), ()) == 2
 
     @given(st.integers(-100, 100), st.integers(1, 16))
     def test_floordiv_ceildiv_round_correctly(self, a, b):
         import math
-        assert eval_expr(FloorDiv(Const(a), b)) == math.floor(a / b)
-        assert eval_expr(CeilDiv(Const(a), b)) == math.ceil(a / b)
+        assert eval_expr(floordiv(Const(a), b)) == math.floor(a / b)
+        assert eval_expr(ceildiv(Const(a), b)) == math.ceil(a / b)
 
 
 class TestCanonAndFormat:
     def test_sum_collapses(self):
-        e = Add(Add(DimRef(0), Const(2)), Add(Mul(DimRef(0), 2), Const(-2)))
-        assert canon(e) == canon(Mul(DimRef(0), 3))
+        e = (DimRef(0) + 2) + (DimRef(0) * 2 - 2)
+        assert e == DimRef(0) * 3
 
     def test_format_parse_round_trip(self):
-        m = AffineMap(2, 1, (Add(Mul(DimRef(0), 32), Mul(DimRef(1), -32)),
-                             Add(FloorDiv(SymRef(0), 4), Const(1))))
+        m = AffineMap(2, 1, (DimRef(0) * 32 + DimRef(1) * -32,
+                             floordiv(SymRef(0), 4) + 1))
         assert parse_map(format_map(m)) == m
 
     def test_tile_ub_map_text(self):
@@ -98,6 +93,41 @@ class TestCanonAndFormat:
             parse(text)
 
 
+_coefs = st.integers(-5, 5)
+_linear_forms = st.builds(lambda a, b, c, k: DimRef(0) * a + DimRef(1) * b + SymRef(0) * c + k,
+                          _coefs, _coefs, _coefs, st.integers(-20, 20))
+_div_atoms = st.builds(lambda div, e, b, coef: div(e, b) * coef,
+                       st.sampled_from([floordiv, ceildiv, mod]), _linear_forms,
+                       st.integers(1, 8), _coefs)
+# forms over (d0, d1)[s0] with up to two div atoms
+_forms = st.builds(lambda e, atoms: sum(atoms, e), _linear_forms,
+                   st.lists(_div_atoms, max_size=2))
+_points = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+class TestLinearForm:
+    @given(_forms, _forms, _points, st.integers(-30, 30), _coefs)
+    def test_eval_is_additive_and_scales(self, a, b, dims, sym, k):
+        syms = (sym,)
+        va, vb = eval_expr(a, dims, syms), eval_expr(b, dims, syms)
+        assert eval_expr(a + b, dims, syms) == va + vb
+        assert eval_expr(a - b, dims, syms) == va - vb
+        assert eval_expr(a * k, dims, syms) == k * va
+        assert eval_expr(-a, dims, syms) == -va
+
+    @given(_forms, _forms)
+    def test_equal_forms_equal_and_hash_equal(self, a, b):
+        assert a + b == b + a
+        assert hash(a + b) == hash(b + a)
+        assert (a + b) - b == a
+        assert hash((a + b) - b) == hash(a)
+
+    @given(_forms, _forms)
+    def test_map_text_round_trip(self, a, b):
+        m = AffineMap(2, 1, (a, b))
+        assert parse_map(format_map(m)) == m
+
+
 class TestProject:
     def test_box_projection(self):
         s = box([(1, 3), (1, 3)])
@@ -106,9 +136,9 @@ class TestProject:
 
     def test_diagonal_slice(self):
         # {(i,j): i+j=4, 1<=j<=3} project j -> {i: 1<=i<=3}
-        cons = [(Add(Add(DimRef(0), DimRef(1)), Const(-4)), EQ),
-                (Add(DimRef(1), Const(-1)), INEQ),
-                (Add(Const(3), Mul(DimRef(1), -1)), INEQ)]
+        cons = [(DimRef(0) + DimRef(1) - 4, EQ),
+                (DimRef(1) - 1, INEQ),
+                (3 - DimRef(1), INEQ)]
         s = IntegerSet.from_constraints(2, 0, cons)
         assert s.project(1).points() == {(1,), (2,), (3,)}
 
@@ -116,8 +146,8 @@ class TestProject:
         # {1 <= i,j <= N-1} project j -> {1 <= i <= N-1}
         cons = []
         for d in range(2):
-            cons.append((Add(DimRef(d), Const(-1)), INEQ))
-            cons.append((Add(SymRef(0), Add(Mul(DimRef(d), -1), Const(-1))), INEQ))
+            cons.append((DimRef(d) - 1, INEQ))
+            cons.append((SymRef(0) + (DimRef(d) * -1 - 1), INEQ))
         s = IntegerSet.from_constraints(2, 1, cons)
         p = s.project(1)
         for n in (2, 5, 9):
@@ -138,25 +168,25 @@ class TestIsEmpty:
         assert box([(1, 0)]).is_empty()
 
     def test_diagonal_nonempty(self):
-        cons = [(Add(DimRef(0), Mul(DimRef(1), -1)), EQ),
-                (Add(DimRef(0), Const(-1)), INEQ),
-                (Add(Const(3), Mul(DimRef(1), -1)), INEQ)]
+        cons = [(DimRef(0) - DimRef(1), EQ),
+                (DimRef(0) - 1, INEQ),
+                (3 - DimRef(1), INEQ)]
         s = IntegerSet.from_constraints(2, 0, cons)
         assert not s.is_empty()
 
     def test_exact_when_symbols_fixed(self):
         # 2i = 2j + 1 has no integer solutions, though rationally feasible
-        cons = [(Add(Mul(DimRef(0), 2), Add(Mul(DimRef(1), -2), Const(-1))), EQ),
-                (DimRef(0), INEQ), (Add(Const(4), Mul(DimRef(0), -1)), INEQ),
-                (DimRef(1), INEQ), (Add(Const(4), Mul(DimRef(1), -1)), INEQ)]
+        cons = [(DimRef(0) * 2 + (DimRef(1) * -2 - 1), EQ),
+                (DimRef(0), INEQ), (4 - DimRef(0), INEQ),
+                (DimRef(1), INEQ), (4 - DimRef(1), INEQ)]
         s = IntegerSet.from_constraints(2, 0, cons)
         assert s.is_empty()
 
 
 class TestBoundsForDim:
     def test_symbolic_box(self):
-        cons = [(Add(DimRef(0), Const(-1)), INEQ),
-                (Add(SymRef(0), Add(Mul(DimRef(0), -1), Const(-1))), INEQ)]
+        cons = [(DimRef(0) - 1, INEQ),
+                (SymRef(0) + (DimRef(0) * -1 - 1), INEQ)]
         s = IntegerSet.from_constraints(1, 1, cons)
         lo, up = s.bounds_for_dim(0)
         assert [format_expr(e) for e in lo] == ["1"]
@@ -165,7 +195,7 @@ class TestBoundsForDim:
     def test_division_bound(self):
         # {i : 2i <= 7, i >= 0} -> upper floordiv(7, 2)
         cons = [(DimRef(0), INEQ),
-                (Add(Const(7), Mul(DimRef(0), -2)), INEQ)]
+                (7 - DimRef(0) * 2, INEQ)]
         s = IntegerSet.from_constraints(1, 0, cons)
         lo, up = s.bounds_for_dim(0)
         assert [eval_expr(e) for e in lo] == [0]
@@ -246,12 +276,12 @@ class TestEnumerationAgreesWithMembership:
     @settings(max_examples=40, deadline=None)
     def test_random_constraints(self, rows):
         # dims in a small window plus random inequality rows
-        cons = [(Add(DimRef(0), Const(4)), INEQ),
-                (Add(Const(4), Mul(DimRef(0), -1)), INEQ),
-                (Add(DimRef(1), Const(4)), INEQ),
-                (Add(Const(4), Mul(DimRef(1), -1)), INEQ)]
+        cons = [(DimRef(0) + 4, INEQ),
+                (4 - DimRef(0), INEQ),
+                (DimRef(1) + 4, INEQ),
+                (4 - DimRef(1), INEQ)]
         for a, b, c in rows:
-            cons.append((Add(Mul(DimRef(0), a), Add(Mul(DimRef(1), b), Const(c))), INEQ))
+            cons.append((DimRef(0) * a + (DimRef(1) * b + c), INEQ))
         s = IntegerSet.from_constraints(2, 0, cons)
         pts = s.points()
         for i in range(-5, 6):
@@ -266,9 +296,9 @@ class TestSetSyntax:
 
     def test_exists_round_trip(self):
         # i even, 0 <= i <= 10 (existential from the floordiv lowering)
-        cons = [(Add(DimRef(0), Mul(FloorDiv(DimRef(0), 2), -2)), EQ),
+        cons = [(DimRef(0) + floordiv(DimRef(0), 2) * -2, EQ),
                 (DimRef(0), INEQ),
-                (Add(Const(10), Mul(DimRef(0), -1)), INEQ)]
+                (10 - DimRef(0), INEQ)]
         s = IntegerSet.from_constraints(1, 0, cons)
         assert s.num_exists == 1
         assert parse_set(format_set(s)) == s

@@ -92,6 +92,12 @@ class TestErrors:
         code, _, err = run_cli(capsys, "/nonexistent/x.pc", "--emit=affine")
         assert code == 1
 
+    def test_illegal_tiling_of_two_nests_is_user_error(self, capsys, tmp_path):
+        f = tmp_path / "two_nest.pc"
+        f.write_text(corpus.TWO_NEST.source)
+        code, _, err = run_cli(capsys, str(f), "-tile=4,4", "--verify-each", "--emit=affine")
+        assert code == 1 and "not permutable" in err
+
     def test_illegal_tiling_is_user_error(self, capsys, tmp_path):
         f = tmp_path / "rev.pc"
         f.write_text(

@@ -116,11 +116,10 @@ class TestSimplifyBounds:
 
     def test_dominated_symbolic_result_dropped(self):
         # ub results {N-1, N+30} under N >= 1 keep only N-1
-        from polyhls.affine import Add, AffineMap, Const, SymRef
+        from polyhls.affine import AffineMap, Const, SymRef
         from polyhls.ir import AffineIrModule, MapRef
         lb = MapRef(AffineMap(0, 1, (Const(0),)), (), ("N",))
-        ub = MapRef(AffineMap(0, 1, (Add(SymRef(0), Const(-1)),
-                                     Add(SymRef(0), Const(30)))), (), ("N",))
+        ub = MapRef(AffineMap(0, 1, (SymRef(0) - 1, SymRef(0) + 30)), (), ("N",))
         m = AffineIrModule(("N",), (), (), (For("i", lb, ub, False, ()),))
         out = simplify_bounds(m)
         results = out.body[0].ub.map.results

@@ -5,6 +5,7 @@ import pytest
 from polyhls import frontend as fe, hls, interp
 from polyhls.codegen import generate_loops, simplify_bounds
 from polyhls.errors import InterpError
+from polyhls.ir import parse_ir
 from polyhls.scop import build_scop
 from polyhls.transforms import TilingSpec, tile, wavefront_parallelize
 
@@ -54,6 +55,22 @@ class TestRunSource:
         with pytest.raises(InterpError):
             interp.run(build_scop(fe.parse_program(src))[0], {})
 
+    @pytest.mark.parametrize("op", ["call @S1(k)",
+                                    "affine.for j = max #map2(k)[N] to min #map1()[N] {\n}"],
+                             ids=["call-arg", "map-operand"])
+    def test_unbound_operand(self, op):
+        # an operand that no enclosing loop binds, in the module and in its
+        # lowered standard level
+        text = ("#map0 = affine_map<()[s0] -> (0)>\n#map1 = affine_map<()[s0] -> (s0)>\n"
+                "#map2 = affine_map<(d0)[s0] -> (d0)>\n"
+                "module {\n  symbol N\n  array A : float64 [N]\n"
+                "  stmt S1(i) { A[i] = A[i] + 1.0; }\n"
+                "  affine.for i = max #map0()[N] to min #map1()[N] {\n%s\n}\n}\n" % op)
+        module = parse_ir(text)
+        for rep in (module, hls.lower_to_standard(module)):
+            with pytest.raises(InterpError, match="'k'"):
+                interp.run(rep, {"N": 8})
+
     def test_determinism(self):
         prog = fe.parse_program(corpus.MATMUL.source)
         init = corpus.init_arrays(prog, {"N": 6}, seed=11)
@@ -82,12 +99,7 @@ class TestTrace:
     def test_scop_trace_equals_source_trace(self):
         # the last source's second nest runs j outside i: S2's coordinates
         # are (j, i), whatever order the first nest used
-        transposed = ("int N;\nfloat A[N][N];\nfloat B[N][N];\n#pragma scop\n"
-                      "for (i = 0; i < N; i++) { for (j = 0; j < N; j++) {\n"
-                      "  A[i][j] = A[i][j] + 1.0; } }\n"
-                      "for (j = 0; j < N; j++) { for (i = 0; i < N; i++) {\n"
-                      "  B[j][i] = A[i][j]; } }\n#pragma endscop\n")
-        for source in [entry.source for entry in corpus.ALL] + [transposed]:
+        for source in [entry.source for entry in corpus.ALL + (corpus.TWO_NEST,)]:
             prog = fe.parse_program(source)
             scop = build_scop(prog)[0]
             for n in (2, 6):

@@ -5,14 +5,15 @@ import random
 import pytest
 
 from polyhls import frontend as fe
-from polyhls.affine import (Add, AffineMap, Const, DimRef, FloorDiv, IntegerSet,
-                            INEQ, Mul, SymRef)
+from polyhls.affine import (AffineMap, Const, DimRef, IntegerSet, INEQ, SymRef,
+                            floordiv)
 from polyhls.codegen import generate_loops, simplify_bounds
 from polyhls.errors import ParseError
 from polyhls.ir import (AffineIrModule, Call, For, If, MapRef, SetRef, StmtDef,
                         parse_ir, print_ir, verify_ir)
 from polyhls.scop import build_scop
-from polyhls.transforms import TilingSpec, tile, wavefront_parallelize
+from polyhls.transforms import (TilingSpec, sub_bounding_box_tile, tile,
+                                wavefront_parallelize)
 
 import corpus
 
@@ -40,11 +41,11 @@ def random_module(rng):
         e = Const(rng.randrange(-3, 4))
         for d in range(ndims):
             if rng.random() < 0.5:
-                e = Add(e, Mul(DimRef(d), rng.randrange(-2, 3)))
+                e = e + DimRef(d) * rng.randrange(-2, 3)
         if rng.random() < 0.5:
-            e = Add(e, Mul(SymRef(rng.randrange(nsyms)), rng.choice((1, 2))))
+            e = e + SymRef(rng.randrange(nsyms)) * rng.choice((1, 2))
         if rng.random() < 0.3:
-            e = FloorDiv(e, rng.choice((2, 4, 16)))
+            e = floordiv(e, rng.choice((2, 4, 16)))
         return e
 
     def mapref(ndims, vars_):
@@ -56,7 +57,7 @@ def random_module(rng):
         if level == depth:
             ops = [Call("S1", params)]
             if rng.random() < 0.4:
-                cons = [(Add(DimRef(0), Const(rng.randrange(0, 3))), INEQ)]
+                cons = [(DimRef(0) + rng.randrange(0, 3), INEQ)]
                 s = IntegerSet.from_constraints(1, nsyms, cons)
                 ops = [If(SetRef(s, (vars_[0],), symbols), tuple(ops))]
             return tuple(ops)
@@ -97,11 +98,22 @@ class TestParse:
         m = wavefront_module()
         assert parse_ir(print_ir(m)) == m
 
-    def test_round_trip_corpus_untransformed(self):
+    def test_round_trip_corpus(self):
+        # real codegen output: floordiv bounds, multi-result maps, guards
         for entry in corpus.ALL:
-            scop = build_scop(fe.parse_program(entry.source))[0]
-            m = simplify_bounds(generate_loops(scop))
-            assert parse_ir(print_ir(m)) == m, entry.name
+            spec = TilingSpec((4,) * min(2, entry.depth))
+            for pipeline in ("none", "tile", "tile+wavefront", "subbb-tile"):
+                if pipeline == "tile+wavefront" and entry.depth < 2:
+                    continue  # the wavefront needs a 2-band
+                scop = build_scop(fe.parse_program(entry.source))[0]
+                if pipeline == "subbb-tile":
+                    scop = sub_bounding_box_tile(scop, spec)
+                elif pipeline != "none":
+                    scop = tile(scop, spec)
+                    if pipeline == "tile+wavefront":
+                        scop = wavefront_parallelize(scop)
+                m = simplify_bounds(generate_loops(scop))
+                assert parse_ir(print_ir(m)) == m, (entry.name, pipeline)
 
     def test_depth_four_nest(self):
         text = print_ir(wavefront_module())

@@ -78,6 +78,15 @@ class TestTile:
         with pytest.raises(IllegalTilingError):
             tile(scop, TilingSpec((4, 4)))
 
+    @pytest.mark.parametrize("entry", [corpus.TWO_NEST, corpus.JACOBI_2D],
+                             ids=lambda e: e.name)
+    def test_dependence_carried_before_band_rejected(self, entry):
+        # the tile loops go above the loops and the statement sequence
+        # that carry these dependences, which the tiled order would break
+        scop = build_scop(fe.parse_program(entry.source))[0]
+        with pytest.raises(IllegalTilingError, match="not permutable"):
+            tile(scop, TilingSpec((4, 4)))
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(IllegalTilingError):
             TilingSpec((0, 4))
