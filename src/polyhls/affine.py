@@ -493,6 +493,19 @@ class IntegerSet:
                 return True
         return False
 
+    def const_range(self, dim):
+        """Constant (lo, hi) bounds of ``dim`` over the set's rational
+        shadow (plus per-row integer tightening): every other column,
+        symbols included, is eliminated as in `is_empty`.  A side with no
+        constant bound is None; the result is None when the elimination
+        proves the set empty.  ``lo == hi`` fixes the dim on every point."""
+        if not 0 <= dim < self.num_dims:
+            raise ArityMismatchError("dim %d out of range" % dim)
+        rows = self.rows
+        for k in range(self.num_vars - 1):
+            rows = _eliminate_col(rows, 0 if k < dim else 1)
+        return _var_range(rows)
+
     def bounds_for_dim(self, dim):
         """Symbolic (lowers, uppers) for ``dim`` in terms of outer dims and
         symbols; dims after ``dim`` and all existentials are eliminated
@@ -569,6 +582,36 @@ class IntegerSet:
         return format_set(self)
 
 
+def _var_range(rows):
+    """Integer (lo, hi) of the first variable of rows that constrain no
+    other variable; a side without a bound is None.  None when the rows
+    have no integer solution."""
+    lo, hi = None, None
+    for coeffs, is_eq in rows:
+        a, c = coeffs[0], coeffs[-1]
+        if a == 0:
+            if _is_false_row((coeffs, is_eq)):
+                return None
+            continue
+        if is_eq:
+            if c % a != 0:
+                return None
+            v = -c // a
+            lo = v if lo is None else max(lo, v)
+            hi = v if hi is None else min(hi, v)
+        elif a > 0:
+            # a*x + c >= 0  ->  x >= ceil(-c / a)
+            v = (-c + a - 1) // a
+            lo = v if lo is None else max(lo, v)
+        else:
+            # a*x + c >= 0, a < 0  ->  x <= floor(c / -a)
+            v = c // (-a)
+            hi = v if hi is None else min(hi, v)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
 def _scan_rows(rows, nvars, prefix):
     if nvars == 0:
         for coeffs, is_eq in rows:
@@ -581,32 +624,10 @@ def _scan_rows(rows, nvars, prefix):
         if not rem:
             break
         rem = _eliminate_col(rem, len(rem[0][0]) - 2)
-    # rem now only constrains the first variable
-    lo, hi = None, None
-    feasible = True
-    for coeffs, is_eq in rem:
-        a, c = coeffs[0], coeffs[-1]
-        if a == 0:
-            if _is_false_row((coeffs, is_eq)):
-                feasible = False
-            continue
-        if is_eq:
-            if c % a != 0:
-                feasible = False
-                continue
-            v = -c // a
-            lo = v if lo is None else max(lo, v)
-            hi = v if hi is None else min(hi, v)
-        elif a > 0:
-            # a*x + c >= 0  ->  x >= ceil(-c / a)
-            v = (-c + a - 1) // a
-            lo = v if lo is None else max(lo, v)
-        else:
-            # a*x + c >= 0, a < 0  ->  x <= floor(c / -a)
-            v = c // (-a)
-            hi = v if hi is None else min(hi, v)
-    if not feasible:
+    bounds = _var_range(rem)
+    if bounds is None:
         return
+    lo, hi = bounds
     if lo is None or hi is None:
         raise UnboundedDimensionError("enumeration over an unbounded set")
     for v in range(lo, hi + 1):

@@ -4,21 +4,20 @@ A dependence between two statement instances exists when both touch the
 same array cell, at least one writes, and the source is scheduled strictly
 before the target.  The lexicographic order is split per time level: one
 candidate polyhedron per "first differing level", each a pure conjunction
-that Fourier-Motzkin emptiness can decide.
+that Fourier-Motzkin emptiness can decide.  A dependence's distance is
+read off one Fourier-Motzkin projection per loop level, so no relation
+point is ever enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import EQ, INEQ, IntegerSet, format_set
+from .affine import EQ, INEQ, DimRef, IntegerSet, format_set
 
 FLOW = "flow"
 ANTI = "anti"
 OUTPUT = "output"
-
-# symbol sizes tried when sampling a candidate distance vector
-_SAMPLE_SIZES = (6, 8, 10, 13)
 
 
 @dataclass(frozen=True)
@@ -49,58 +48,20 @@ def _pair_relation(scop, sp, sq, acc_p, acc_q, level):
     for ep, eq_ in zip(acc_p.results, acc_q.results):
         cons.append((ep - eq_.insert_dims(0, dp), EQ))
     for lvl in range(level):
-        tp = sp.schedule.results[lvl]
-        tq = sq.schedule.results[lvl].insert_dims(0, dp)
-        cons.append((tp - tq, EQ))
-    tp = sp.schedule.results[level]
-    tq = sq.schedule.results[level].insert_dims(0, dp)
-    cons.append((tq - tp - 1, INEQ))
+        cons.append((time_difference(sp, sq, lvl), EQ))
+    cons.append((time_difference(sp, sq, level) - 1, INEQ))
     order = IntegerSet.from_constraints(dp + dq, ns, cons)
     ctx = scop.context.insert_dims(0, dp + dq)
     return rel.intersect(order).intersect(ctx)
 
 
-def _candidate_distance(scop, dep_rel, sp, sq, loop_levels):
-    """Sample one relation point at small fixed sizes to get a candidate
-    per-loop-level time difference."""
-    dp = sp.domain.num_dims
-    ns = len(scop.symbols)
-    for size in _SAMPLE_SIZES:
-        syms = (size,) * ns
-        for point in sorted(dep_rel.points(syms)):
-            src, tgt = point[:dp], point[dp:]
-            ts = sp.schedule.eval(src, syms)
-            tt = sq.schedule.eval(tgt, syms)
-            return tuple(tt[l] - ts[l] for l in loop_levels)
-    return None
+def relations(scop):
+    """Yield (source stmt, target stmt, kind, level, relation) for every
+    non-empty relation: per statement pair and access pair (flow and
+    output per write, then anti), split by the time level that carries it.
 
-
-def _is_uniform(scop, dep_rel, sp, sq, loop_levels, cand):
-    """FM check that the time difference equals `cand` on every relation
-    point (conservative: unprovable uniformity reports non-uniform)."""
-    dp = sp.domain.num_dims
-    for l, v in zip(loop_levels, cand):
-        tp = sp.schedule.results[l]
-        diff = sq.schedule.results[l].insert_dims(0, dp) - tp
-        for expr in (diff - v - 1,  # diff >= v+1
-                     v - 1 - diff):  # diff <= v-1
-            test = dep_rel.intersect(IntegerSet.from_constraints(
-                dep_rel.num_dims, dep_rel.num_syms, [(expr, INEQ)]))
-            if not test.is_empty():
-                return False
-    return True
-
-
-def compute_dependences(scop):
-    """All pairwise flow/anti/output dependences with non-empty relations.
-
-    One Dependence per (statement pair, access pair, carried level); the
-    emptiness test never drops a real dependence (it may keep a spurious
-    one when symbols stay free).
-    """
-    deps = []
-    loop_levels = scop.loop_levels()
-    depth = scop.time_depth
+    The emptiness test never drops a real dependence (it may keep a
+    spurious one when symbols stay free)."""
     for sp in scop.statements:
         for sq in scop.statements:
             pairs = []
@@ -116,17 +77,43 @@ def compute_dependences(scop):
                     if arr == arr2:
                         pairs.append((ANTI, rp, wq))
             for kind, ap, aq in pairs:
-                for level in range(depth):
+                for level in range(scop.time_depth):
                     rel = _pair_relation(scop, sp, sq, ap, aq, level)
-                    if rel.is_empty():
-                        continue
-                    cand = _candidate_distance(scop, rel, sp, sq, loop_levels)
-                    dist = None
-                    if cand is not None and _is_uniform(scop, rel, sp, sq, loop_levels, cand):
-                        dist = cand
-                    deps.append(Dependence(sp.name, sq.name, kind, rel, level,
-                                           sp.domain.num_dims, dist))
-    return deps
+                    if not rel.is_empty():
+                        yield sp, sq, kind, level, rel
+
+
+def time_difference(sp, sq, level):
+    """φ_q - φ_p at schedule `level`, over a relation's (p ++ q) dims."""
+    dp = sp.domain.num_dims
+    return sq.schedule.results[level].insert_dims(0, dp) - sp.schedule.results[level]
+
+
+def _distance(rel, sp, sq, loop_levels):
+    """Per-loop-level time difference when it is one constant over the
+    relation, else None.  Each level's difference becomes one extra dim,
+    whose constant bounds are read off the projection onto it; they hold
+    on a rational superset of the relation, so equal bounds are exact."""
+    nd = rel.num_dims
+    ext = rel.insert_dims(nd, 1)
+    dist = []
+    for level in loop_levels:
+        diff = time_difference(sp, sq, level)
+        bounds = ext.intersect(IntegerSet.from_constraints(
+            nd + 1, rel.num_syms, [(DimRef(nd) - diff, EQ)])).const_range(nd)
+        if bounds is None or bounds[0] is None or bounds[0] != bounds[1]:
+            return None
+        dist.append(bounds[0])
+    return tuple(dist)
+
+
+def compute_dependences(scop):
+    """One Dependence per (statement pair, access pair, carried level) of
+    `relations`, with its exact distance when uniform."""
+    loop_levels = scop.loop_levels()
+    return [Dependence(sp.name, sq.name, kind, rel, level, sp.domain.num_dims,
+                       _distance(rel, sp, sq, loop_levels))
+            for sp, sq, kind, level, rel in relations(scop)]
 
 
 def is_loop_parallel(scop, deps, loop_dim):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .affine import INEQ, AffineMap, Const, DimRef, IntegerSet
-from .dependence import compute_dependences, is_loop_parallel
+from .dependence import relations, time_difference
 from .errors import IllegalTilingError, ArityMismatchError
 from .scop import TilingInfo
 
@@ -27,30 +27,48 @@ class TilingSpec:
         self.sizes = sizes
 
 
+def _violation(rel, expr):
+    """The part of `rel` where `expr >= 0`."""
+    return rel.intersect(IntegerSet.from_constraints(
+        rel.num_dims, rel.num_syms, [(expr, INEQ)]))
+
+
+def _instance(s, vals):
+    return "%s(%s)" % (s.name, ", ".join("%s=%d" % nv for nv in zip(s.dim_names, vals)))
+
+
+def _witness(scop, sp, sq, kind, test):
+    """`kind S1(i=..) -> S2(i=..) at N=..`: the first point of `test` at
+    the first value 1..8, bound to every symbol, that has one."""
+    dp = sp.domain.num_dims
+    for n in range(1, 9):
+        pts = test.points((n,) * len(scop.symbols))
+        if pts:
+            p = min(pts)  # lexicographic minimum: the first point scanned
+            at = ", ".join("%s=%d" % (name, n) for name in scop.symbols)
+            return "%s %s -> %s%s" % (kind, _instance(sp, p[:dp]), _instance(sq, p[dp:]),
+                                      " at " + at if at else "")
+    return "%s, with no point at symbol values 1 to 8" % kind
+
+
 def _check_band_permutable(scop, band_levels):
     """Every dependence must have provably non-negative time difference at
-    each band level.
+    each band level; the first violation raises, naming a witness.
 
     That includes the dependences carried before the band: `tile` puts the
     tile loops above every original schedule level, outer loops and
     statement sequence included, so a dependence carried there is ordered
     first by the tile indices and stays respected only if they do not
     decrease along it."""
-    for dep in compute_dependences(scop):
-        sp = next(s for s in scop.statements if s.name == dep.source)
-        sq = next(s for s in scop.statements if s.name == dep.target)
-        dpd = dep.src_dims
+    for sp, sq, kind, _, rel in relations(scop):
         for lvl in band_levels:
-            tp = sp.schedule.results[lvl]
-            tq = sq.schedule.results[lvl].insert_dims(0, dpd)
             # infeasibility of diff <= -1 proves diff >= 0 everywhere
-            neg = tp - tq - 1
-            test = dep.relation.intersect(IntegerSet.from_constraints(
-                dep.relation.num_dims, dep.relation.num_syms, [(neg, INEQ)]))
+            test = _violation(rel, -time_difference(sp, sq, lvl) - 1)
             if not test.is_empty():
                 raise IllegalTilingError(
                     "band is not permutable: dependence %s -> %s may be negative "
-                    "at time level %d" % (dep.source, dep.target, lvl))
+                    "at time level %d: %s" % (sp.name, sq.name, lvl,
+                                               _witness(scop, sp, sq, kind, test)))
 
 
 def tile(scop, spec):
@@ -117,7 +135,8 @@ def tile(scop, spec):
 
 def skew(scop, dims, factor):
     """Schedule-level skew: time dim a becomes a + factor*b.  ``dims`` are
-    indices into the schedule's loop-dim list."""
+    indices into the schedule's loop-dim list.  A skew that would reverse
+    a dependence raises IllegalTilingError, naming a witness."""
     a, b = dims
     loop_levels = scop.loop_levels()
     if not (0 <= a < len(loop_levels) and 0 <= b < len(loop_levels)) or a == b:
@@ -125,6 +144,17 @@ def skew(scop, dims, factor):
     if factor == 0:
         return scop
     la, lb = loop_levels[a], loop_levels[b]
+    # a dependence carried at la must stay carried there (new difference
+    # >= 1); one carried deeper must not turn negative at la (>= 0)
+    for sp, sq, kind, level, rel in relations(scop):
+        if level < la:
+            continue
+        diff = time_difference(sp, sq, la) + time_difference(sp, sq, lb) * factor
+        test = _violation(rel, -diff - (0 if level == la else 1))
+        if not test.is_empty():
+            raise IllegalTilingError(
+                "skew reverses dependence %s -> %s at time level %d: %s"
+                % (sp.name, sq.name, la, _witness(scop, sp, sq, kind, test)))
     new_stmts = []
     for s in scop.statements:
         res = list(s.schedule.results)
@@ -141,10 +171,10 @@ def wavefront_parallelize(scop, band=(0, 1)):
         raise IllegalTilingError("wavefront needs a tiled 2-band; run tile first")
     a, b = band
     skewed = skew(scop, (a, b), 1)
-    deps = compute_dependences(skewed)
+    lb = skewed.loop_levels()[b]
     parallel = frozenset()
-    if is_loop_parallel(skewed, deps, b):
-        parallel = frozenset({skewed.loop_levels()[b]})
+    if all(level != lb for _, _, _, level, _ in relations(skewed)):
+        parallel = frozenset({lb})
     return replace(skewed, parallel_levels=parallel)
 
 

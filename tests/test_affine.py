@@ -183,6 +183,30 @@ class TestIsEmpty:
         assert s.is_empty()
 
 
+class TestConstRange:
+    def test_difference_fixed_over_symbolic_set(self):
+        # {(i, j, d) : 0 <= i < N, j = i + 2, d = j - i}
+        cons = [(DimRef(0), INEQ), (SymRef(0) - DimRef(0) - 1, INEQ),
+                (DimRef(1) - DimRef(0) - 2, EQ), (DimRef(2) - DimRef(1) + DimRef(0), EQ)]
+        s = IntegerSet.from_constraints(3, 1, cons)
+        assert s.const_range(2) == (2, 2)
+        assert s.const_range(0) == (0, None)
+
+    def test_integer_tightening(self):
+        # {(i, d) : 0 <= i <= 5, 2d = i}: d <= 5/2 tightens to 2
+        cons = [(DimRef(0), INEQ), (5 - DimRef(0), INEQ),
+                (DimRef(0) - DimRef(1) * 2, EQ)]
+        assert IntegerSet.from_constraints(2, 0, cons).const_range(1) == (0, 2)
+
+    def test_empty(self):
+        assert box([(1, 0)]).const_range(0) is None
+        assert box([(0, 3), (2, 1)]).const_range(0) is None
+
+    def test_dim_out_of_range(self):
+        with pytest.raises(ArityMismatchError):
+            box([(0, 1)]).const_range(1)
+
+
 class TestBoundsForDim:
     def test_symbolic_box(self):
         cons = [(DimRef(0) - 1, INEQ),

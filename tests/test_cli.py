@@ -107,6 +107,10 @@ class TestErrors:
         code, _, err = run_cli(capsys, str(f), "-tile=4,4", "--emit=affine")
         assert code == 1 and "permutable" in err
 
+    def test_reversing_skew_is_user_error(self, pc_file, capsys):
+        code, out, err = run_cli(capsys, pc_file, "-skew=0,1,-1", "--dump=deps")
+        assert code == 1 and out == "" and "skew reverses dependence" in err
+
     def test_passes_on_affine_input_rejected(self, capsys, tmp_path):
         f = tmp_path / "m.air"
         f.write_text("module {\n}\n")

@@ -5,7 +5,8 @@ from polyhls.affine import eval_expr
 from polyhls.dependence import (ANTI, FLOW, OUTPUT, compute_dependences, dump_deps,
                                 is_loop_parallel)
 from polyhls.scop import build_scop
-from polyhls.transforms import TilingSpec, tile, wavefront_parallelize
+from polyhls.transforms import (TilingSpec, skew, sub_bounding_box_tile, tile,
+                                wavefront_parallelize)
 
 import corpus
 
@@ -93,6 +94,23 @@ class TestSimpleCases:
         deps = [d for d in compute_dependences(scop) if d.kind == FLOW]
         assert deps and all(d.distance is None for d in deps)
 
+    def test_distance_without_points_at_small_sizes(self):
+        # no relation point exists for N <= 21, so sampling the relation at
+        # small sizes finds no distance; the projection needs no point
+        src = ("int N;\nfloat A[N];\n#pragma scop\n"
+               "for (i = 20; i < N; i++) { A[i] = A[i-1] + 1.0; }\n#pragma endscop\n")
+        scop = build_scop(fe.parse_program(src))[0]
+        deps = compute_dependences(scop)
+        assert [(d.kind, d.distance) for d in deps] == [(FLOW, (1,))]
+
+
+_PIPELINES = {
+    "none": lambda s, sizes: s,
+    "tile": lambda s, sizes: tile(s, TilingSpec(sizes)),
+    "tile+skew": lambda s, sizes: skew(tile(s, TilingSpec(sizes)), (0, 1), 1),
+    "subbb-tile": lambda s, sizes: sub_bounding_box_tile(s, TilingSpec(sizes)),
+}
+
 
 class TestCorpusOracle:
     def test_all_corpus_relations_exact(self):
@@ -104,13 +122,26 @@ class TestCorpusOracle:
                     brute_force_pairs(scop, n), entry.name
 
     def test_uniform_distances_lex_positive(self):
+        # every reported distance is lexicographically positive and equals
+        # the schedule difference at every relation point, on each kernel
+        # under every pipeline
+        syms = (6,)
         for entry in corpus.ALL:
-            scop = build_scop(fe.parse_program(entry.source))[0]
-            for d in compute_dependences(scop):
-                if d.distance is None:
-                    continue
-                nz = [v for v in d.distance if v != 0]
-                assert not nz or nz[0] > 0, (entry.name, d.distance)
+            for pname, pipe in _PIPELINES.items():
+                scop = pipe(build_scop(fe.parse_program(entry.source))[0],
+                            (4,) * min(2, entry.depth))
+                loop_levels = scop.loop_levels()
+                stmts = {s.name: s for s in scop.statements}
+                for d in compute_dependences(scop):
+                    if d.distance is None:
+                        continue
+                    where = (entry.name, pname, str(d))
+                    nz = [v for v in d.distance if v != 0]
+                    assert not nz or nz[0] > 0, where
+                    for p in d.relation.points(syms):
+                        ts = stmts[d.source].schedule.eval(p[:d.src_dims], syms)
+                        tt = stmts[d.target].schedule.eval(p[d.src_dims:], syms)
+                        assert tuple(tt[l] - ts[l] for l in loop_levels) == d.distance, where
 
 
 class TestWavefront:

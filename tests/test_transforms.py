@@ -3,7 +3,7 @@
 import pytest
 
 from polyhls import frontend as fe, interp
-from polyhls.affine import eval_expr
+from polyhls.affine import IntegerSet, eval_expr
 from polyhls.dependence import compute_dependences
 from polyhls.errors import IllegalTilingError
 from polyhls.scop import build_scop
@@ -78,14 +78,21 @@ class TestTile:
         with pytest.raises(IllegalTilingError):
             tile(scop, TilingSpec((4, 4)))
 
-    @pytest.mark.parametrize("entry", [corpus.TWO_NEST, corpus.JACOBI_2D],
-                             ids=lambda e: e.name)
-    def test_dependence_carried_before_band_rejected(self, entry):
+    @pytest.mark.parametrize("entry, witness", [
+        (corpus.TWO_NEST, "S1 -> S2 may be negative at time level 1: "
+                          "flow S1(i=1, j=0) -> S2(j=0, i=1) at N=2"),
+        (corpus.JACOBI_2D, "S1 -> S2 may be negative at time level 5: "
+                           "flow S1(t=0, i=1, j=2) -> S2(t=1, i=1, j=1) at T=4, N=4"),
+    ], ids=["two_nest", "jacobi-2d"])
+    def test_dependence_carried_before_band_rejected(self, entry, witness):
         # the tile loops go above the loops and the statement sequence
-        # that carry these dependences, which the tiled order would break
+        # that carry these dependences, which the tiled order would break;
+        # the error names the dependence and its first violating instance
+        # pair at the smallest symbol value that has one
         scop = build_scop(fe.parse_program(entry.source))[0]
-        with pytest.raises(IllegalTilingError, match="not permutable"):
+        with pytest.raises(IllegalTilingError, match="not permutable") as err:
             tile(scop, TilingSpec((4, 4)))
+        assert str(err.value).endswith(witness)
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(IllegalTilingError):
@@ -114,6 +121,23 @@ class TestSkew:
         init = corpus.init_arrays(prog, {"N": 8}, seed=1)
         assert interp.run(prog, {"N": 8}, init).arrays["A"].data == \
             interp.run(scop, {"N": 8}, init).arrays["A"].data
+
+    def test_legal_negative_skew_accepted(self):
+        # j - i keeps both distances (1, 0) and (0, 1) lexicographically
+        # positive: (1, -1) and (0, 1)
+        prog = fe.parse_program(corpus.STENCIL2D.source)
+        scop = skew(build_scop(prog)[0], (1, 0), -1)
+        assert sorted(d.distance for d in compute_dependences(scop)) == [(0, 1), (1, -1)]
+        init = corpus.init_arrays(prog, {"N": 8}, seed=1)
+        assert interp.run(prog, {"N": 8}, init).arrays["A"].data == \
+            interp.run(scop, {"N": 8}, init).arrays["A"].data
+
+    def test_reversing_skew_rejected(self):
+        # i - j runs A[i][j-1] -> A[i][j] (distance (0, 1)) backwards
+        with pytest.raises(IllegalTilingError,
+                           match=r"skew reverses dependence S1 -> S1 at time level 1: "
+                                 r"flow S1\(i=1, j=1\) -> S1\(i=1, j=2\) at N=3"):
+            skew(stencil(), (0, 1), -1)
 
 
 class TestWavefront:
@@ -153,6 +177,20 @@ class TestWavefront:
                 ts = sp.schedule.eval(p[:d.src_dims], syms)
                 tt = sq.schedule.eval(p[d.src_dims:], syms)
                 assert ts < tt
+
+
+def test_transforms_compute_no_distance(monkeypatch):
+    # legality and parallelism need only the relations; a distance is read
+    # off `const_range`, so the transforms must never call it
+    def no_distance(*args):
+        raise AssertionError("a transform computed a distance")
+
+    monkeypatch.setattr(IntegerSet, "const_range", no_distance)
+    scop = wavefront_parallelize(tile(stencil(), TilingSpec((4, 4))))
+    assert scop.parallel_levels
+    sub_bounding_box_tile(stencil(), TilingSpec((4, 4)))
+    with pytest.raises(IllegalTilingError):
+        tile(build_scop(fe.parse_program(corpus.JACOBI_2D.source))[0], TilingSpec((4, 4)))
 
 
 class TestSubBoundingBox:

@@ -1,0 +1,84 @@
+"""Write every emit and dump of the pipeline matrix, one file per case.
+
+    python3 tools/emit_matrix.py OUTDIR
+
+Runs `poly-hls` in-process (`cli.main`, with `polyhls` imported from this
+checkout's `src/`) on every `tests/corpus.py` program, `TWO_NEST` and
+`JACOBI_2D` included, and on every `perfbench/programs/*.pc`.  Each program
+runs untransformed and under tile, tile+wavefront and subbb-tile at band
+depth min(2, d) and at its full loop depth d (tile size 4), with
+`--emit=affine|std|hls-c` and `--dump=scop|deps|bounds`.  Each file holds
+the exit code, stdout and stderr of one case, so `diff -r` of the OUTDIRs
+of two checkouts lists every output that differs between them.
+"""
+
+import contextlib
+import glob
+import io
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from polyhls import cli, frontend as fe  # noqa: E402
+from polyhls.scop import build_scop  # noqa: E402
+
+import corpus  # noqa: E402
+
+TILE = 4
+OUTPUTS = ("--emit=affine", "--emit=std", "--emit=hls-c",
+           "--dump=scop", "--dump=deps", "--dump=bounds")
+
+
+def programs():
+    """(name, .pc source) of every input."""
+    for entry in corpus.ALL + (corpus.TWO_NEST, corpus.JACOBI_2D):
+        yield "corpus-" + entry.name, entry.source
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "programs", "*.pc"))):
+        with open(path) as f:
+            yield "perfbench-" + os.path.basename(path)[:-3], f.read()
+
+
+def pipelines(source):
+    """(name, pass flags) of every pipeline run on `source`."""
+    scop = build_scop(fe.parse_program(source))[0]
+    depth = max(len(s.body_dims) for s in scop.statements)
+    yield "none", []
+    for d in sorted({min(2, depth), depth}):
+        sizes = ",".join([str(TILE)] * d)
+        yield "tile-%d" % d, ["-tile=" + sizes]
+        yield "tile+wavefront-%d" % d, ["-tile=" + sizes, "-wavefront"]
+        yield "subbb-tile-%d" % d, ["-subbb-tile=" + sizes]
+
+
+def run(argv):
+    """`cli.main(argv)` as text: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return "exit %d\n--- stdout\n%s--- stderr\n%s" % (code, out.getvalue(), err.getvalue())
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: python3 tools/emit_matrix.py OUTDIR")
+    outdir = argv[0]
+    os.makedirs(os.path.join(outdir, "inputs"), exist_ok=True)
+    cases = 0
+    for name, source in programs():
+        path = os.path.join(outdir, "inputs", name + ".pc")
+        with open(path, "w") as f:
+            f.write(source)
+        for pname, flags in pipelines(source):
+            for output in OUTPUTS:
+                case = "%s__%s__%s.txt" % (name, pname, output.lstrip("-").replace("=", "-"))
+                with open(os.path.join(outdir, case), "w") as f:
+                    f.write(run([path] + flags + [output]))
+                cases += 1
+    print("%d cases written to %s" % (cases, outdir))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
