@@ -10,15 +10,13 @@ Exit codes: 0 success, 1 user error, 2 internal invariant violation.
 from __future__ import annotations
 
 import os
-import re
 import sys
 
 from . import frontend as fe
 from . import hls, interp
-from .affine import INEQ, EQ, SymRef
 from .codegen import dump_bounds, generate_loops, simplify_bounds
 from .dependence import compute_dependences, dump_deps
-from .errors import PolyHlsError
+from .errors import PolyHlsError, VerificationError
 from .ir import parse_ir, print_ir, verify_ir
 from .scop import build_scop, dump_scop
 from .transforms import (TilingSpec, skew, sub_bounding_box_tile, tile,
@@ -36,9 +34,8 @@ passes (applied in flag order):
 
 options:
   --emit=KIND           scop | affine | std | hls-c
-  --input-kind=KIND     pc (default, or by extension) | affine
   --dump=KIND           scop | deps | bounds (to stdout, before --emit)
-  --assume EXPR         context assumption, e.g. N>=2 (repeatable)
+  --assume COND         context assumption, e.g. N>=2 or "N >= T + 1" (repeatable)
   --set NAME=VALUE      symbol binding (run mode; repeatable)
   --init NAME=@FILE     array initializer, whitespace-separated row-major
   --dump-arrays         print final arrays (run mode)
@@ -66,7 +63,7 @@ def _parse_sizes(text, flag):
 
 def _parse_args(argv):
     opts = {
-        "input": None, "passes": [], "emit": None, "input_kind": None,
+        "input": None, "passes": [], "emit": None,
         "dumps": [], "assume": [], "set": [], "init": [],
         "dump_arrays": False, "trace": False, "verify_each": False,
         "out": None, "run": False,
@@ -90,31 +87,17 @@ def _parse_args(argv):
             opts["passes"].append(("wavefront", None))
         elif a.startswith("--emit="):
             opts["emit"] = a[7:]
-        elif a.startswith("--input-kind="):
-            opts["input_kind"] = a[13:]
         elif a.startswith("--dump="):
             opts["dumps"].append(a[7:])
-        elif a == "--assume":
-            i += 1
-            if i == len(argv):
-                raise _UserError("--assume needs an argument")
-            opts["assume"].append(argv[i])
-        elif a.startswith("--assume="):
-            opts["assume"].append(a[9:])
-        elif a == "--set":
-            i += 1
-            if i == len(argv):
-                raise _UserError("--set needs an argument")
-            opts["set"].append(argv[i])
-        elif a.startswith("--set="):
-            opts["set"].append(a[6:])
-        elif a == "--init":
-            i += 1
-            if i == len(argv):
-                raise _UserError("--init needs an argument")
-            opts["init"].append(argv[i])
-        elif a.startswith("--init="):
-            opts["init"].append(a[7:])
+        elif a.partition("=")[0] in ("--assume", "--set", "--init"):
+            # `--flag VALUE` or `--flag=VALUE`
+            flag, eq, value = a.partition("=")
+            if not eq:
+                i += 1
+                if i == len(argv):
+                    raise _UserError("%s needs an argument" % flag)
+                value = argv[i]
+            opts[flag[2:]].append(value)
         elif a == "--dump-arrays":
             opts["dump_arrays"] = True
         elif a == "--trace":
@@ -138,41 +121,6 @@ def _parse_args(argv):
     return opts
 
 
-_ASSUME_RE = re.compile(r"^\s*(\w+)\s*(>=|<=|==|>|<)\s*(-?\d+)\s*$")
-
-
-def _parse_assumptions(texts, symbols):
-    cons = []
-    for t in texts:
-        m = _ASSUME_RE.match(t)
-        if not m:
-            raise _UserError("cannot parse assumption %r (expected NAME OP INT)" % t)
-        name, op, val = m.group(1), m.group(2), int(m.group(3))
-        if name not in symbols:
-            raise _UserError("assumption %r: unknown symbol %r" % (t, name))
-        diff = SymRef(symbols.index(name)) - val
-        if op == ">=":
-            cons.append((diff, INEQ))
-        elif op == ">":
-            cons.append((diff - 1, INEQ))
-        elif op == "<=":
-            cons.append((-diff, INEQ))
-        elif op == "<":
-            cons.append((-diff - 1, INEQ))
-        else:
-            cons.append((diff, EQ))
-    return cons
-
-
-def _input_kind(opts):
-    kind = opts["input_kind"]
-    if kind is None:
-        kind = "affine" if opts["input"].endswith(".air") else "pc"
-    if kind not in ("pc", "affine"):
-        raise _UserError("unknown input kind %r" % kind)
-    return kind
-
-
 def _parse_module(text):
     module = parse_ir(text)
     diags = verify_ir(module)
@@ -194,17 +142,11 @@ def _apply_pass(scop, name, arg):
 
 def _verify_snapshot(scop):
     """Small fixed-size interpreter state for `--verify-each`."""
-    n = 5
-    symbols = {s: n for s in scop.symbols}
+    symbols = {s: 5 for s in scop.symbols}
     init = {}
-    for k, a in enumerate(scop.arrays):
-        size = 1
-        for e in a.extents:
-            size *= symbols.get(e, e) if isinstance(e, str) else e
-        if a.elem == fe.INT64:
-            init[a.name] = [(7 * i + 3 * k + 1) % 11 for i in range(size)]
-        else:
-            init[a.name] = [float((7 * i + 3 * k + 1) % 11) / 4.0 for i in range(size)]
+    for k, a in enumerate(interp.make_machine(symbols, scop.arrays).arrays.values()):
+        vals = [(7 * i + 3 * k + 1) % 11 for i in range(len(a.data))]
+        init[a.name] = vals if a.elem == fe.INT64 else [v / 4.0 for v in vals]
     state = interp.run(scop, symbols, init)
     return symbols, init, {n: a.data for n, a in state.arrays.items()}
 
@@ -214,45 +156,52 @@ def _verify_each(scop, passname, ref):
     module = generate_loops(scop)
     diags = verify_ir(module)
     if diags:
-        raise AssertionError("after %s: verify_ir: %s" % (passname, "; ".join(diags)))
+        raise VerificationError("after %s: verify_ir: %s" % (passname, "; ".join(diags)))
     for obj in (scop, module):
         state = interp.run(obj, symbols, init)
         got = {n: a.data for n, a in state.arrays.items()}
         if got != want:
-            raise AssertionError(
+            raise VerificationError(
                 "after %s: interpreter mismatch at N=%d" % (passname, symbols[list(symbols)[0]] if symbols else 0))
 
 
-def _compile(opts, text):
-    kind = _input_kind(opts)
+_MODULE_EMITS = ("affine", "std", "hls-c")
+
+
+def _compile(opts, obj):
     out = []
-    if kind == "affine":
+    emit = opts["emit"]
+    if isinstance(obj, fe.Program):
+        module = _compile_pc(opts, obj, out)
+    else:
         if opts["passes"]:
             raise _UserError("transformation passes need a .pc input")
-        module = _parse_module(text)
+        module = obj
         for d in opts["dumps"]:
-            if d == "bounds":
-                out.append(dump_bounds(module))
-            else:
+            if d != "bounds":
                 raise _UserError("--dump=%s needs a .pc input" % d)
-        emit = opts["emit"]
-        if emit == "affine":
-            out.append(print_ir(module))
-        elif emit == "std":
-            out.append(hls.print_std(hls.lower_to_standard(module)))
-        elif emit == "hls-c":
-            out.append(hls.emit_c(hls.insert_directives(hls.partition(module))))
-        elif emit is not None:
-            raise _UserError("cannot emit %r from an affine input" % emit)
-        return "".join(out)
+            out.append(dump_bounds(module))
+        if emit == "scop":
+            raise _UserError("cannot emit 'scop' from an affine input")
+    if emit == "affine":
+        out.append(print_ir(module))
+    elif emit == "std":
+        out.append(hls.print_std(hls.lower_to_standard(module)))
+    elif emit == "hls-c":
+        out.append(hls.emit_c(hls.insert_directives(hls.partition(module))))
+    elif emit not in (None, "scop"):
+        raise _UserError("unknown emit kind %r" % emit)
+    return "".join(out)
 
-    prog = fe.parse_program(text)
-    assumptions = _parse_assumptions(opts["assume"], list(prog.symbols))
-    scops = build_scop(prog, assumptions)
+
+def _compile_pc(opts, prog, out):
+    """Passes, dumps and `--emit=scop` of a `.pc` program, appended to
+    `out`; returns the module to emit when `--emit` asks for one."""
+    scops = build_scop(prog, opts["assume"])
     if not scops:
         raise _UserError("no #pragma scop region in input")
     emit = opts["emit"]
-    if emit in ("affine", "std", "hls-c") and len(scops) > 1:
+    if emit in _MODULE_EMITS and len(scops) > 1:
         raise _UserError("--emit=%s supports exactly one SCoP (input has %d)"
                          % (emit, len(scops)))
     results = []
@@ -268,26 +217,16 @@ def _compile(opts, text):
             if d == "scop":
                 out.append(dump_scop(scop))
             elif d == "deps":
-                out.append(dump_deps(scop, compute_dependences(scop)))
+                out.append(dump_deps(compute_dependences(scop)))
             elif d == "bounds":
                 out.append(dump_bounds(simplify_bounds(generate_loops(scop))))
             else:
                 raise _UserError("unknown dump kind %r" % d)
     if emit == "scop":
-        for scop in results:
-            out.append(dump_scop(scop))
-    elif emit in ("affine", "std", "hls-c"):
-        scop = results[0]
-        module = simplify_bounds(generate_loops(scop))
-        if emit == "affine":
-            out.append(print_ir(module))
-        elif emit == "std":
-            out.append(hls.print_std(hls.lower_to_standard(module)))
-        else:
-            out.append(hls.emit_c(hls.insert_directives(hls.partition(module, scop.name))))
-    elif emit is not None:
-        raise _UserError("unknown emit kind %r" % emit)
-    return "".join(out)
+        out.extend(dump_scop(scop) for scop in results)
+    elif emit in _MODULE_EMITS:
+        return simplify_bounds(generate_loops(results[0]))
+    return None
 
 
 def _load_values(path, decl):
@@ -303,15 +242,7 @@ def _load_values(path, decl):
         raise _UserError("bad value in %s for array %s" % (path, decl.name))
 
 
-def _run_mode(opts, text):
-    kind = _input_kind(opts)
-    if kind == "affine":
-        obj = _parse_module(text)
-        decls = obj.arrays
-    else:
-        prog = fe.parse_program(text)
-        obj = prog
-        decls = prog.arrays
+def _run_mode(opts, obj):
     symbols = {}
     for s in opts["set"]:
         if "=" not in s:
@@ -326,7 +257,7 @@ def _run_mode(opts, text):
         if "=@" not in s:
             raise _UserError("bad --init %r (expected NAME=@FILE)" % s)
         name, path = s.split("=@", 1)
-        decl = next((a for a in decls if a.name == name), None)
+        decl = next((a for a in obj.arrays if a.name == name), None)
         if decl is None:
             raise _UserError("--init: unknown array %r" % name)
         init[name] = _load_values(path, decl)
@@ -359,7 +290,13 @@ def main(argv=None):
                 text = f.read()
         except OSError as e:
             raise _UserError(str(e))
-        output = _run_mode(opts, text) if opts["run"] else _compile(opts, text)
+        # the extension decides the input kind: `.air` is Affine IR, any
+        # other file is `.pc` source
+        if opts["input"].endswith(".air"):
+            obj = _parse_module(text)
+        else:
+            obj = fe.parse_program(text)
+        output = _run_mode(opts, obj) if opts["run"] else _compile(opts, obj)
         if opts["out"] is not None:
             with open(opts["out"], "w") as f:
                 f.write(output)

@@ -10,9 +10,10 @@ domain separation is attempted.
 
 from __future__ import annotations
 
-from .affine import EQ, INEQ, AffineMap, DimRef, IntegerSet, SymRef
+from .affine import EQ, INEQ, AffineMap, DimRef, IntegerSet
 from .errors import CodegenError
 from .ir import AffineIrModule, Call, For, If, MapRef, SetRef, StmtDef
+from .scop import default_context
 
 
 def _scan_set(scop, stmt):
@@ -171,17 +172,11 @@ def dump_bounds(module):
     return "\n".join(lines) + "\n"
 
 
-def simplify_bounds(module, context=None):
+def simplify_bounds(module):
     """Drop bound-map results provably dominated by another result in their
-    enclosing context; the scanned iteration sets are unchanged.
-
-    `context` is an IntegerSet over the module symbols (defaults to every
-    symbol >= 1).
-    """
+    enclosing context (every symbol >= 1); the scanned iteration sets are
+    unchanged."""
     ns = len(module.symbols)
-    if context is None:
-        context = IntegerSet.from_constraints(
-            0, ns, [(SymRef(i) - 1, INEQ) for i in range(ns)])
 
     def dominated(e1, e2, rows, nouter, drop_if):
         # drop_if "ge": drop e1 when e1 >= e2 always; "le": when e1 <= e2
@@ -206,7 +201,7 @@ def simplify_bounds(module, context=None):
                 i += 1
         return tuple(keep)
 
-    ctx_rows = [(e, k) for e, k in context.constraints]
+    ctx_rows = list(default_context(module.symbols).constraints)
 
     def walk(ops, rows, nouter):
         out = []

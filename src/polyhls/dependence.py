@@ -123,7 +123,7 @@ def is_loop_parallel(scop, deps, loop_dim):
     return all(d.level != level for d in deps)
 
 
-def dump_deps(scop, deps):
+def dump_deps(deps):
     """`--dump=deps` text."""
     lines = []
     for d in deps:

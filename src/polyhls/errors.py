@@ -47,6 +47,11 @@ class CodegenError(PolyHlsError):
     """Loop generation cannot handle the given schedule structure."""
 
 
+class VerificationError(PolyHlsError):
+    """A pass's output fails `--verify-each`: the IR verifier reports it,
+    or the interpreter gives different arrays than before the passes."""
+
+
 class InterpError(PolyHlsError):
     """Runtime error during reference interpretation (OOB access, unbound
     symbol, ...)."""

@@ -69,6 +69,21 @@ class Call(Expr):
     args: tuple
 
 
+def subexprs(e):
+    """`e` and every expression inside it, each parent before its children
+    and left operands before right ones."""
+    yield e
+    if isinstance(e, BinOp):
+        yield from subexprs(e.lhs)
+        yield from subexprs(e.rhs)
+    elif isinstance(e, ArrayRef):
+        for sub in e.subs:
+            yield from subexprs(sub)
+    elif isinstance(e, Call):
+        for arg in e.args:
+            yield from subexprs(arg)
+
+
 # -- statements -------------------------------------------------------------
 
 
@@ -121,12 +136,6 @@ class Program:
     symbols: tuple  # size-parameter names
     arrays: tuple  # of ArrayDecl
     body: tuple  # of statements
-
-    def array(self, name):
-        for a in self.arrays:
-            if a.name == name:
-                return a
-        raise KeyError(name)
 
 
 # -- parser -----------------------------------------------------------------
@@ -249,11 +258,7 @@ class _Parser:
     def if_stmt(self):
         kind, _, pos = self.cur.next()
         self.cur.expect("(")
-        lhs = self.expr()
-        k, op, p = self.cur.next()
-        if op not in ("<", "<=", ">", ">=", "=="):
-            raise UnsupportedConstructError("unsupported comparison %r" % op, *p)
-        rhs = self.expr()
+        op, lhs, rhs = self.condition()
         self.cur.expect(")")
         then = self.block_or_stmt()
         els = ()
@@ -261,6 +266,15 @@ class _Parser:
             self.cur.next()
             els = self.block_or_stmt()
         return If(op, lhs, rhs, then, els, pos)
+
+    def condition(self):
+        """``expr op expr`` with op one of < <= > >= ==; returns
+        ``(op, lhs, rhs)``."""
+        lhs = self.expr()
+        k, op, p = self.cur.next()
+        if op not in ("<", "<=", ">", ">=", "=="):
+            raise UnsupportedConstructError("unsupported comparison %r" % op, *p)
+        return op, lhs, self.expr()
 
     def assign(self):
         stmt = self.assignment()
@@ -339,6 +353,15 @@ def parse_program(source):
     prog = _Parser(Cursor(source)).program()
     _check_scop_pairing(prog.body)
     return prog
+
+
+def parse_condition(text):
+    """Parse `text` as one `if` condition; returns ``(op, lhs, rhs)``."""
+    cur = Cursor(text)
+    cond = _Parser(cur).condition()
+    if cur.peek()[0] != "eof":
+        cur.error("unexpected %r after the comparison" % (cur.peek()[1],))
+    return cond
 
 
 def parse_assignment_at(cur):

@@ -142,21 +142,10 @@ def lower_to_standard(m: AffineIrModule) -> LoopAst:
 
 def _access_sets(stmts):
     reads, writes = set(), set()
-
-    def scan(e):
-        if isinstance(e, fe.ArrayRef):
-            reads.add(e.array)
-            for s in e.subs:
-                scan(s)
-        elif isinstance(e, fe.BinOp):
-            scan(e.lhs)
-            scan(e.rhs)
-
     for sd in stmts:
         writes.add(sd.body.ref.array)
-        for s in sd.body.ref.subs:
-            scan(s)
-        scan(sd.body.rhs)
+        for root in sd.body.ref.subs + (sd.body.rhs,):
+            reads.update(e.array for e in fe.subexprs(root) if isinstance(e, fe.ArrayRef))
     return reads, writes
 
 

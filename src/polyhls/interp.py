@@ -186,8 +186,6 @@ def _run_scop(scop, machine):
         raise InterpError("symbol bindings violate the context set")
     instances = []
     for st in scop.statements:
-        if st.schedule is None:
-            raise InterpError("statement %s has no schedule" % st.name)
         for p in st.domain.points(syms):
             if st.guard is not None and not st.guard.contains(p, syms):
                 continue

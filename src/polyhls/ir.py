@@ -91,12 +91,6 @@ class AffineIrModule:
     stmts: tuple  # of StmtDef
     body: tuple  # of ops
 
-    def stmt(self, name):
-        for s in self.stmts:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 # -- printing ---------------------------------------------------------------
 
@@ -391,18 +385,10 @@ def verify_ir(module):
 
 def _assign_names(assign):
     names = set()
-
-    def visit(e):
-        if isinstance(e, fe.Name):
-            names.add(e.ident)
-        elif isinstance(e, fe.ArrayRef):
-            names.add(e.array)
-            for s in e.subs:
-                visit(s)
-        elif isinstance(e, fe.BinOp):
-            visit(e.lhs)
-            visit(e.rhs)
-
-    visit(assign.ref)
-    visit(assign.rhs)
+    for root in (assign.ref, assign.rhs):
+        for e in fe.subexprs(root):
+            if isinstance(e, fe.Name):
+                names.add(e.ident)
+            elif isinstance(e, fe.ArrayRef):
+                names.add(e.array)
     return names

@@ -1,5 +1,5 @@
-"""SCoP extraction: per-statement iteration domains, interleaved original
-schedules, and read/write access relations."""
+"""SCoP construction: per-statement iteration domains, interleaved original
+schedules, and read/write access relations, built in one pass."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ class TilingInfo:
     sizes: tuple  # per tiled dim
     tile_dims: tuple  # tile dim indices in the (new) domain space
     point_dims: tuple  # tiled point dim indices in the (new) domain space
-    tile_time_levels: tuple  # schedule time levels of the tile dims
     orig_domains: tuple  # pre-tiling domains, embedded into the new space
 
 
@@ -26,12 +25,11 @@ class PolyStmt:
     name: str
     domain: IntegerSet  # dims = loop vars (plus tile dims after tiling)
     dim_names: tuple
-    schedule: AffineMap  # domain dims -> multidimensional time (None until assigned)
+    schedule: AffineMap  # domain dims -> multidimensional time
     writes: tuple  # of (array name, AffineMap over domain dims)
     reads: tuple
     body: fe.Assign  # template; subscripts/rhs use the original loop-var names
     body_dims: tuple  # domain dim index of each original loop var, outermost first
-    position: tuple  # textual-order constants c0..cd for the 2d+1 schedule
     guard: IntegerSet = None  # over domain dims; inserted by sub-bounding-box tiling
 
 
@@ -91,10 +89,10 @@ class _AffineConv:
         raise NonAffineError("non-affine expression %r" % fe.format_expr(e))
 
 
-def _cond_constraints(conv, stmt, negate=False):
-    lhs, rhs = conv.conv(stmt.lhs), conv.conv(stmt.rhs)
-    diff = lhs - rhs
-    op = stmt.op
+def _cond_constraints(conv, op, lhs, rhs, negate=False):
+    """Constraints of the comparison `lhs op rhs` (of its negation with
+    `negate`), the one map from a comparison operator to constraints."""
+    diff = conv.conv(lhs) - conv.conv(rhs)
     if negate:
         neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
         if op == "==":
@@ -112,31 +110,29 @@ def _cond_constraints(conv, stmt, negate=False):
 
 
 def default_context(symbols, assumptions=()):
-    """Context set: every symbol >= 1 plus any extra assumptions, given as
-    (AffineExpr, kind) pairs over the symbol space."""
+    """Context set: every symbol >= 1, plus each assumption, a comparison
+    text over the symbols in `if`-condition syntax (``N >= T + 1``)."""
+    conv = _AffineConv((), symbols)
     cons = [(SymRef(i) - 1, INEQ) for i in range(len(symbols))]
-    cons.extend(assumptions)
+    for text in assumptions:
+        cons.extend(_cond_constraints(conv, *fe.parse_condition(text)))
     return IntegerSet.from_constraints(0, len(symbols), cons)
 
 
-def extract_scops(program, assumptions=()):
-    """One :class:`Scop` per pragma-delimited region, in textual order."""
-    scops = []
-    idx = 0
-    i = 0
-    body = program.body
-    while i < len(body):
-        if isinstance(body[i], fe.ScopBegin):
-            j = i + 1
+def build_scop(program, assumptions=()):
+    """One scheduled :class:`Scop` per pragma-delimited region, in textual
+    order; `assumptions` (see :func:`default_context`) hold in every
+    region's context."""
+    context = default_context(program.symbols, assumptions)
+    scops, region = [], None
+    for node in program.body:
+        if isinstance(node, fe.ScopEnd):
+            scops.append(_build_scop(program, region, "scop%d" % len(scops), context))
+            region = None
+        elif region is not None:
+            region.append(node)
+        elif isinstance(node, fe.ScopBegin):
             region = []
-            while not isinstance(body[j], fe.ScopEnd):
-                region.append(body[j])
-                j += 1
-            scops.append(_build_scop(program, region, "scop%d" % idx, assumptions))
-            idx += 1
-            i = j + 1
-        else:
-            i += 1
     return scops
 
 
@@ -165,7 +161,7 @@ def stmt_names(nodes):
     return names
 
 
-def _build_scop(program, region, name, assumptions):
+def _build_scop(program, region, name, context):
     symbols = program.symbols
     stmts = []
     names = stmt_names(region)
@@ -186,9 +182,10 @@ def _build_scop(program, region, name, assumptions):
                 pos += 1
             elif isinstance(node, fe.If):
                 conv = _AffineConv([v for v, _, _ in loops], symbols)
-                walk(node.then, loops, conds + _cond_constraints(conv, node), path)
+                cond = (conv, node.op, node.lhs, node.rhs)
+                walk(node.then, loops, conds + _cond_constraints(*cond), path)
                 if node.els:
-                    walk(node.els, loops, conds + _cond_constraints(conv, node, negate=True), path)
+                    walk(node.els, loops, conds + _cond_constraints(*cond, negate=True), path)
             elif isinstance(node, fe.Assign):
                 stmts.append(_build_stmt(program, node, names[id(node)], loops, conds,
                                          path + [pos]))
@@ -201,11 +198,19 @@ def _build_scop(program, region, name, assumptions):
     walk(region, [], [], [])
     if len({s.name for s in stmts}) != len(stmts):
         raise ParseError("duplicate statement name in SCoP %s" % name)
-    return Scop(name, symbols, default_context(symbols, assumptions), tuple(stmts),
-                arrays=program.arrays)
+    # pad every schedule with trailing zeros to the deepest one
+    depth = max((len(s.schedule.results) for s in stmts), default=0)
+    for k, s in enumerate(stmts):
+        pad = (Const(0),) * (depth - len(s.schedule.results))
+        stmts[k] = replace(s, schedule=AffineMap(
+            s.schedule.num_dims, len(symbols), s.schedule.results + pad))
+    return Scop(name, symbols, context, tuple(stmts), arrays=program.arrays)
 
 
 def _build_stmt(program, assign, name, loops, conds, path):
+    """The statement `assign` under `loops` and `conds`; `path` holds its
+    textual-position constants c0..cd, which interleave with the loop dims
+    into its 2d+1 schedule (c0, i0, c1, ..., i(d-1), cd)."""
     symbols = program.symbols
     vars_ = [v for v, _, _ in loops]
     conv = _AffineConv(vars_, symbols)
@@ -235,61 +240,29 @@ def _build_stmt(program, assign, name, loops, conds, path):
 
     writes = (access_map(assign.ref),)
     reads = []
-    seen = set()
-
-    def collect_reads(e):
+    for e in fe.subexprs(assign.rhs):
         if isinstance(e, fe.ArrayRef):
             m = access_map(e)
-            key = (m[0], m[1])
-            if key not in seen:
-                seen.add(key)
+            if m not in reads:
                 reads.append(m)
-        elif isinstance(e, fe.BinOp):
-            collect_reads(e.lhs)
-            collect_reads(e.rhs)
         elif isinstance(e, fe.Name):
             if e.ident not in vars_ and e.ident not in symbols:
                 raise NonAffineError("unknown identifier %r" % e.ident)
 
-    collect_reads(assign.rhs)
+    sched = []
+    for k, c in enumerate(path[:-1]):
+        sched += [Const(c), DimRef(k)]
+    sched.append(Const(path[-1]))
     return PolyStmt(
         name=name,
         domain=domain,
         dim_names=tuple(vars_),
-        schedule=None,
+        schedule=AffineMap(len(loops), len(symbols), tuple(sched)),
         writes=writes,
         reads=tuple(reads),
         body=assign,
         body_dims=tuple(range(len(loops))),
-        position=tuple(path),
     )
-
-
-def original_schedule(scop):
-    """Assign interleaved (2d+1) schedules realizing source order."""
-    ns = len(scop.symbols)
-    scheduled = []
-    for s in scop.statements:
-        if s.schedule is not None:
-            raise ValueError("statement %s already has a schedule" % s.name)
-        results = []
-        d = len(s.body_dims)
-        for k in range(d):
-            results.append(Const(s.position[k]))
-            results.append(DimRef(s.body_dims[k]))
-        results.append(Const(s.position[d]))
-        scheduled.append(replace(s, schedule=AffineMap(s.domain.num_dims, ns, tuple(results))))
-    depth = max((len(s.schedule.results) for s in scheduled), default=0)
-    padded = []
-    for s in scheduled:
-        r = s.schedule.results + (Const(0),) * (depth - len(s.schedule.results))
-        padded.append(replace(s, schedule=AffineMap(s.schedule.num_dims, ns, r)))
-    return replace(scop, statements=tuple(padded))
-
-
-def build_scop(program, assumptions=()):
-    """extract + original schedules, for the common single-call path."""
-    return [original_schedule(s) for s in extract_scops(program, assumptions)]
 
 
 def dump_scop(scop):
@@ -301,8 +274,7 @@ def dump_scop(scop):
         sn = list(scop.symbols)
         out.append("  stmt %s" % s.name)
         out.append("    domain: %s" % format_set(s.domain, dim_names=dn, sym_names=sn))
-        if s.schedule is not None:
-            out.append("    schedule: %s" % format_map(s.schedule, dim_names=dn, sym_names=sn))
+        out.append("    schedule: %s" % format_map(s.schedule, dim_names=dn, sym_names=sn))
         for arr, m in s.writes:
             out.append("    write %s: %s" % (arr, format_map(m, dim_names=dn, sym_names=sn)))
         for arr, m in s.reads:

@@ -51,6 +51,16 @@ def _witness(scop, sp, sq, kind, test):
     return "%s, with no point at symbol values 1 to 8" % kind
 
 
+def _tile_box(num_dims, num_syms, tile_dims, point_dims, sizes):
+    """``s*t <= d <= s*t + s - 1`` for each tile dim t, point dim d and
+    size s."""
+    cons = []
+    for t, d, size in zip(tile_dims, point_dims, sizes):
+        cons.append((DimRef(d) - DimRef(t) * size, INEQ))
+        cons.append((DimRef(t) * size + size - 1 - DimRef(d), INEQ))
+    return IntegerSet.from_constraints(num_dims, num_syms, cons)
+
+
 def _check_band_permutable(scop, band_levels):
     """Every dependence must have provably non-negative time difference at
     each band level; the first violation raises, naming a witness.
@@ -99,14 +109,7 @@ def tile(scop, spec):
             band_dims = tuple(b + m for b in band)
         dom = s.domain.insert_dims(0, m)
         orig_domains.append(dom)
-        cons = []
-        for k, (d, size) in enumerate(zip(band, sizes)):
-            pt = DimRef(d + m)
-            t = DimRef(k)
-            cons.append((pt - t * size, INEQ))  # d - s*T >= 0
-            cons.append((t * size + size - 1 - pt, INEQ))
-        tile_cons = IntegerSet.from_constraints(dom.num_dims, ns, cons)
-        dom = dom.intersect(tile_cons)
+        dom = dom.intersect(_tile_box(dom.num_dims, ns, range(m), [d + m for d in band], sizes))
         sched = s.schedule.insert_dims(0, m)
         prefix = []
         for k in range(m):
@@ -126,7 +129,6 @@ def tile(scop, spec):
         sizes=sizes,
         tile_dims=tuple(range(m)),
         point_dims=band_dims,
-        tile_time_levels=tuple(2 * k + 1 for k in range(m)),
         orig_domains=tuple(orig_domains),
     )
     return replace(scop, statements=tuple(new_stmts), tiling=info,
@@ -164,18 +166,20 @@ def skew(scop, dims, factor):
     return replace(scop, statements=tuple(new_stmts), parallel_levels=frozenset())
 
 
-def wavefront_parallelize(scop, band=(0, 1)):
-    """Skew the two tile dims into a wavefront (t1 = ti + tj, t2 = tj) and
-    mark the inner tile loop parallel when the dependence check confirms."""
+def wavefront_parallelize(scop):
+    """Skew the two outer tile dims into a wavefront (t1 = ti + tj,
+    t2 = tj) and mark the inner tile loop t2 parallel.
+
+    `skew`'s legality check is the only dependence test needed.  Suppose a
+    pair were carried at t2 after the skew: its t1 difference would be 0
+    and its t2 difference at least 1, so its ti difference would be at most
+    -1.  Before the skew the pair would then run the other way round,
+    carried at ti with a ti difference of at least 1, and the skew would
+    turn that difference into 0; `skew` rejects exactly that."""
     if scop.tiling is None or len(scop.tiling.tile_dims) < 2:
         raise IllegalTilingError("wavefront needs a tiled 2-band; run tile first")
-    a, b = band
-    skewed = skew(scop, (a, b), 1)
-    lb = skewed.loop_levels()[b]
-    parallel = frozenset()
-    if all(level != lb for _, _, _, level, _ in relations(skewed)):
-        parallel = frozenset({lb})
-    return replace(skewed, parallel_levels=parallel)
+    skewed = skew(scop, (0, 1), 1)
+    return replace(skewed, parallel_levels=frozenset({skewed.loop_levels()[1]}))
 
 
 def sub_bounding_box_tile(scop, spec):
@@ -195,12 +199,7 @@ def sub_bounding_box_tile(scop, spec):
         emb = proj
         for d in sorted(info.point_dims):
             emb = emb.insert_dims(d, 1)
-        cons = []
-        for t, d, size in zip(info.tile_dims, info.point_dims, info.sizes):
-            pt, tl = DimRef(d), DimRef(t)
-            cons.append((pt - tl * size, INEQ))
-            cons.append((tl * size + size - 1 - pt, INEQ))
-        box = IntegerSet.from_constraints(s.domain.num_dims, ns, cons)
+        box = _tile_box(s.domain.num_dims, ns, info.tile_dims, info.point_dims, info.sizes)
         guard = orig if s.guard is None else orig.intersect(s.guard)
         new_stmts.append(replace(s, domain=emb.intersect(box), guard=guard))
     return replace(scop, statements=tuple(new_stmts))

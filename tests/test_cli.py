@@ -1,8 +1,10 @@
 """CLI driver tests (invoked in-process through cli.main)."""
 
+from dataclasses import replace
+
 import pytest
 
-from polyhls import cli
+from polyhls import cli, transforms
 
 import corpus
 
@@ -59,7 +61,7 @@ class TestCompile:
         code, _, _ = run_cli(capsys, pc_file, "-tile=4,4", "--emit=affine",
                              "-o", str(air))
         assert code == 0
-        code, out, _ = run_cli(capsys, str(air), "--input-kind=affine", "--emit=std")
+        code, out, _ = run_cli(capsys, str(air), "--emit=std")
         assert code == 0 and "call S1(i, j)" in out
 
     def test_exponent_literal_survives_air(self, capsys, tmp_path):
@@ -78,9 +80,22 @@ class TestCompile:
                                "--verify-each", "--emit=affine")
         assert code == 0 and "module {" in out
 
-    def test_assume_tightens_context(self, pc_file, capsys):
-        code, out, _ = run_cli(capsys, pc_file, "--assume", "N>=2", "--emit=scop")
-        assert code == 0 and "N - 2 >= 0" in out
+    @pytest.mark.parametrize("assume, row", [
+        ("N>=2", "N - 2 >= 0"),
+        ("N >= T + 1", "-T + N - 1 >= 0"),
+        ("X>=1", None),
+        ("N>=2 x", None),
+        ("N>=1.5", None),
+    ], ids=["ge-const", "two-symbols", "unknown-symbol", "trailing-text", "non-affine"])
+    def test_assume_tightens_context(self, capsys, tmp_path, assume, row):
+        f = tmp_path / "jacobi.pc"
+        f.write_text(corpus.JACOBI_2D.source)
+        code, out, err = run_cli(capsys, str(f), "--assume", assume, "--emit=scop")
+        if row is None:
+            assert code == 1 and out == "" and err.startswith("poly-hls: error: ")
+            assert "Traceback" not in err
+        else:
+            assert code == 0 and row in out
 
 
 class TestErrors:
@@ -91,6 +106,21 @@ class TestErrors:
     def test_missing_input(self, capsys):
         code, _, err = run_cli(capsys, "/nonexistent/x.pc", "--emit=affine")
         assert code == 1
+
+    def test_verify_each_mismatch_is_user_error(self, capsys, tmp_path, monkeypatch):
+        # a broken pass that drops a statement must be a typed error (exit 1)
+        f = tmp_path / "two_stmt.pc"
+        f.write_text(corpus.TWO_STMT.source)
+        real = transforms.tile
+
+        def drop_stmt(scop, spec):
+            scop = real(scop, spec)
+            return replace(scop, statements=scop.statements[:1])
+
+        monkeypatch.setattr(cli, "tile", drop_stmt)
+        code, _, err = run_cli(capsys, str(f), "-tile=4", "--verify-each", "--emit=affine")
+        assert code == 1
+        assert "error: after tile: interpreter mismatch at N=5" in err
 
     def test_illegal_tiling_of_two_nests_is_user_error(self, capsys, tmp_path):
         f = tmp_path / "two_nest.pc"

@@ -156,6 +156,6 @@ class TestWavefront:
 def test_dump_format():
     scop = build_scop(fe.parse_program(corpus.STENCIL2D.source))[0]
     deps = compute_dependences(scop)
-    text = dump_deps(scop, deps)
+    text = dump_deps(deps)
     assert "S1 -> S1 : flow : distance (1, 0)" in text
     assert "S1 -> S1 : flow : distance (0, 1)" in text

@@ -71,17 +71,14 @@ class TestParse:
     def test_float_literal_forms(self):
         p = fe.parse_program("int N;\nfloat A[N];\nfor (i = 0; i < N; i++) "
                              "{ A[i] = 1. + .5 + 1e-05 + 2.5E+17 + 3e2; }\n")
-        lits = []
-
-        def collect(e):
-            if isinstance(e, fe.BinOp):
-                collect(e.lhs)
-                collect(e.rhs)
-            else:
-                lits.append(e)
-
-        collect(p.body[0].body[0].rhs)
+        lits = [e for e in fe.subexprs(p.body[0].body[0].rhs) if isinstance(e, fe.FloatLit)]
         assert lits == [fe.FloatLit(v) for v in (1.0, 0.5, 1e-05, 2.5e17, 300.0)]
+
+    def test_subexprs_parents_first_left_to_right(self):
+        e = fe.BinOp("*", fe.ArrayRef("A", (fe.Name("i"),)),
+                     fe.Call("min", (fe.IntLit(2), fe.Name("N"))))
+        assert list(fe.subexprs(e)) == [e, e.lhs, fe.Name("i"), e.rhs, fe.IntLit(2),
+                                        fe.Name("N")]
 
     @pytest.mark.parametrize("src", [
         "int for;\n",

@@ -5,7 +5,7 @@ import pytest
 from polyhls import frontend as fe
 from polyhls.affine import AffineMap, Const, DimRef, eval_expr, format_map
 from polyhls.errors import NonAffineError, ParseError
-from polyhls.scop import build_scop, dump_scop, extract_scops, original_schedule
+from polyhls.scop import build_scop, dump_scop
 
 import corpus
 
@@ -31,20 +31,20 @@ class TestExtract:
 
     def test_empty_scop(self):
         p = fe.parse_program("int N;\n#pragma scop\n#pragma endscop\n")
-        scops = extract_scops(p)
+        scops = build_scop(p)
         assert len(scops) == 1 and scops[0].statements == ()
 
     def test_non_affine_subscript_rejected(self):
         src = ("int N;\nint A[N];\n#pragma scop\n"
                "for (i = 0; i < N; i++) { A[i*i] = 0; }\n#pragma endscop\n")
         with pytest.raises(NonAffineError):
-            extract_scops(fe.parse_program(src))
+            build_scop(fe.parse_program(src))
 
     def test_statements_outside_scop_ignored(self):
         src = ("int N;\nint A[N];\n"
                "for (i = 0; i < N; i++) { A[i] = 0; }\n"
                "#pragma scop\nfor (i = 0; i < N; i++) { A[i] = 1; }\n#pragma endscop\n")
-        scops = extract_scops(fe.parse_program(src))
+        scops = build_scop(fe.parse_program(src))
         assert len(scops) == 1
         assert len(scops[0].statements) == 1
 
@@ -57,7 +57,7 @@ class TestExtract:
         src = ("int N;\nint A[N];\n"
                "#pragma scop\nfor (i = 0; i < N; i++) { A[i] = 0; }\n#pragma endscop\n"
                "#pragma scop\nfor (i = 0; i < N; i++) { A[i] = 1; }\n#pragma endscop\n")
-        scops = extract_scops(fe.parse_program(src))
+        scops = build_scop(fe.parse_program(src))
         assert [s.name for s in scops] == ["scop0", "scop1"]
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from polyhls import frontend as fe, interp
+from polyhls import frontend as fe, interp, transforms
 from polyhls.affine import IntegerSet, eval_expr
-from polyhls.dependence import compute_dependences
+from polyhls.dependence import compute_dependences, is_loop_parallel
 from polyhls.errors import IllegalTilingError
 from polyhls.scop import build_scop
 from polyhls.transforms import (TilingSpec, skew, sub_bounding_box_tile, tile,
@@ -141,9 +141,29 @@ class TestSkew:
 
 
 class TestWavefront:
-    def test_marks_inner_tile_loop_parallel(self):
-        scop = wavefront_parallelize(tile(stencil(), TilingSpec((32, 32))))
+    @pytest.mark.parametrize("entry", [e for e in corpus.ALL if e.depth >= 2],
+                             ids=lambda e: e.name)
+    def test_marks_inner_tile_loop_parallel(self, entry):
+        scop = build_scop(fe.parse_program(entry.source))[0]
+        scop = wavefront_parallelize(tile(scop, TilingSpec((4, 4))))
         assert scop.parallel_levels == {scop.loop_levels()[1]}
+        # the dependence analysis of the result agrees with the marking
+        assert is_loop_parallel(scop, compute_dependences(scop), 1)
+
+    def test_builds_relations_once(self, monkeypatch):
+        # skew's legality check is the only dependence pass: it already
+        # proves the inner tile loop parallel
+        calls = []
+
+        def counted(scop):
+            calls.append(scop)
+            return real(scop)
+
+        tiled = tile(stencil(), TilingSpec((4, 4)))
+        real = transforms.relations
+        monkeypatch.setattr(transforms, "relations", counted)
+        wavefront_parallelize(tiled)
+        assert len(calls) == 1
 
     def test_requires_tiled_2band(self):
         with pytest.raises(IllegalTilingError):

@@ -7,9 +7,11 @@ checkout's `src/`) on every `tests/corpus.py` program, `TWO_NEST` and
 `JACOBI_2D` included, and on every `perfbench/programs/*.pc`.  Each program
 runs untransformed and under tile, tile+wavefront and subbb-tile at band
 depth min(2, d) and at its full loop depth d (tile size 4), with
-`--emit=affine|std|hls-c` and `--dump=scop|deps|bounds`.  Each file holds
-the exit code, stdout and stderr of one case, so `diff -r` of the OUTDIRs
-of two checkouts lists every output that differs between them.
+`--emit=affine|std|hls-c` and `--dump=scop|deps|bounds`.  Every stored
+`perfbench/air/*.air` module (read in place) runs with
+`--emit=affine|std|hls-c` and `--dump=bounds`.  Each file holds the exit
+code, stdout and stderr of one case, so `diff -r` of the OUTDIRs of two
+checkouts lists every output that differs between them.
 """
 
 import contextlib
@@ -28,8 +30,9 @@ from polyhls.scop import build_scop  # noqa: E402
 import corpus  # noqa: E402
 
 TILE = 4
-OUTPUTS = ("--emit=affine", "--emit=std", "--emit=hls-c",
-           "--dump=scop", "--dump=deps", "--dump=bounds")
+EMITS = ("--emit=affine", "--emit=std", "--emit=hls-c")
+OUTPUTS = EMITS + ("--dump=scop", "--dump=deps", "--dump=bounds")
+AIR_OUTPUTS = EMITS + ("--dump=bounds",)
 
 
 def programs():
@@ -53,12 +56,19 @@ def pipelines(source):
         yield "subbb-tile-%d" % d, ["-subbb-tile=" + sizes]
 
 
-def run(argv):
-    """`cli.main(argv)` as text: exit code, stdout and stderr."""
+def run(path, argv):
+    """Write `cli.main(argv)` as text to `path`: exit code, stdout and
+    stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return "exit %d\n--- stdout\n%s--- stderr\n%s" % (code, out.getvalue(), err.getvalue())
+    with open(path, "w") as f:
+        f.write("exit %d\n--- stdout\n%s--- stderr\n%s" % (code, out.getvalue(), err.getvalue()))
+
+
+def case_name(prefix, output):
+    """File name of the case that runs `prefix`'s input with flag `output`."""
+    return "%s__%s.txt" % (prefix, output.lstrip("-").replace("=", "-"))
 
 
 def main(argv):
@@ -73,10 +83,14 @@ def main(argv):
             f.write(source)
         for pname, flags in pipelines(source):
             for output in OUTPUTS:
-                case = "%s__%s__%s.txt" % (name, pname, output.lstrip("-").replace("=", "-"))
-                with open(os.path.join(outdir, case), "w") as f:
-                    f.write(run([path] + flags + [output]))
+                case = case_name("%s__%s" % (name, pname), output)
+                run(os.path.join(outdir, case), [path] + flags + [output])
                 cases += 1
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
+        name = "air-" + os.path.basename(path)[:-4]
+        for output in AIR_OUTPUTS:
+            run(os.path.join(outdir, case_name(name, output)), [path, output])
+            cases += 1
     print("%d cases written to %s" % (cases, outdir))
 
 
