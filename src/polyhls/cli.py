@@ -166,6 +166,34 @@ def _verify_each(scop, passname, ref):
 
 
 _MODULE_EMITS = ("affine", "std", "hls-c")
+_DUMPS = ("scop", "deps", "bounds")
+# option -> (flag, where it acts): "pc" is compile mode on a .pc input,
+# "compile" compile mode on either input, "run" run mode on either input
+_SCOPES = {
+    "passes": (None, "pc"), "assume": ("--assume", "pc"),
+    "verify_each": ("--verify-each", "pc"), "emit": ("--emit", "compile"),
+    "dumps": ("--dump", "compile"), "set": ("--set", "run"), "init": ("--init", "run"),
+    "trace": ("--trace", "run"), "dump_arrays": ("--dump-arrays", "run"),
+}
+_NEEDS = {"pc": "a .pc input in compile mode", "compile": "compile mode", "run": "run mode"}
+
+
+def _check_flags(opts, air):
+    """Reject every flag that the mode or the input kind cannot act on."""
+    acting = {"run"} if opts["run"] else {"compile"} if air else {"compile", "pc"}
+    for key, (flag, scope) in _SCOPES.items():
+        if opts[key] and scope not in acting:
+            flag = flag or "-" + opts["passes"][0][0]
+            raise _UserError("%s needs %s" % (flag, _NEEDS[scope]))
+    if opts["emit"] not in (None, "scop") + _MODULE_EMITS:
+        raise _UserError("unknown emit kind %r" % opts["emit"])
+    if air and opts["emit"] == "scop":
+        raise _UserError("cannot emit 'scop' from an affine input")
+    for d in opts["dumps"]:
+        if d not in _DUMPS:
+            raise _UserError("unknown dump kind %r" % d)
+        if air and d != "bounds":
+            raise _UserError("--dump=%s needs a .pc input" % d)
 
 
 def _compile(opts, obj):
@@ -174,23 +202,14 @@ def _compile(opts, obj):
     if isinstance(obj, fe.Program):
         module = _compile_pc(opts, obj, out)
     else:
-        if opts["passes"]:
-            raise _UserError("transformation passes need a .pc input")
         module = obj
-        for d in opts["dumps"]:
-            if d != "bounds":
-                raise _UserError("--dump=%s needs a .pc input" % d)
-            out.append(dump_bounds(module))
-        if emit == "scop":
-            raise _UserError("cannot emit 'scop' from an affine input")
+        out.extend(dump_bounds(module) for _ in opts["dumps"])
     if emit == "affine":
         out.append(print_ir(module))
     elif emit == "std":
         out.append(hls.print_std(hls.lower_to_standard(module)))
     elif emit == "hls-c":
         out.append(hls.emit_c(hls.insert_directives(hls.partition(module))))
-    elif emit not in (None, "scop"):
-        raise _UserError("unknown emit kind %r" % emit)
     return "".join(out)
 
 
@@ -212,20 +231,21 @@ def _compile_pc(opts, prog, out):
             if ref is not None:
                 _verify_each(scop, name, ref)
         results.append(scop)
+    modules = None
+    if "bounds" in opts["dumps"] or emit in _MODULE_EMITS:
+        modules = [simplify_bounds(generate_loops(scop)) for scop in results]
     for d in opts["dumps"]:
-        for scop in results:
+        for k, scop in enumerate(results):
             if d == "scop":
                 out.append(dump_scop(scop))
             elif d == "deps":
                 out.append(dump_deps(compute_dependences(scop)))
-            elif d == "bounds":
-                out.append(dump_bounds(simplify_bounds(generate_loops(scop))))
             else:
-                raise _UserError("unknown dump kind %r" % d)
+                out.append(dump_bounds(modules[k]))
     if emit == "scop":
         out.extend(dump_scop(scop) for scop in results)
     elif emit in _MODULE_EMITS:
-        return simplify_bounds(generate_loops(results[0]))
+        return modules[0]
     return None
 
 
@@ -292,10 +312,9 @@ def main(argv=None):
             raise _UserError(str(e))
         # the extension decides the input kind: `.air` is Affine IR, any
         # other file is `.pc` source
-        if opts["input"].endswith(".air"):
-            obj = _parse_module(text)
-        else:
-            obj = fe.parse_program(text)
+        air = opts["input"].endswith(".air")
+        obj = _parse_module(text) if air else fe.parse_program(text)
+        _check_flags(opts, air)
         output = _run_mode(opts, obj) if opts["run"] else _compile(opts, obj)
         if opts["out"] is not None:
             with open(opts["out"], "w") as f:

@@ -19,7 +19,7 @@ from .ir import AffineIrModule, Call, For, If
 
 # ---------------------------------------------------------------------------
 # standard-level op ASTs; expressions are frontend.Expr trees (Name, IntLit,
-# BinOp and Call for floord/ceild/min/max)
+# BinOp and Call for floord/ceild/min/max).  Statement calls stay `ir.Call`.
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,6 @@ class CGuard:
     cond: tuple  # of (fe.Expr, "eq"/"ineq") meaning expr == 0 / expr >= 0
     then: tuple
     els: tuple = ()
-
-
-@dataclass(frozen=True)
-class CCallStmt:
-    name: str
-    args: tuple  # of variable names
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def lower_to_standard(m: AffineIrModule) -> LoopAst:
             elif isinstance(op, If):
                 out.append(CGuard(_cond_from_setref(op.cond), conv(op.then), conv(op.els)))
             elif isinstance(op, Call):
-                out.append(CCallStmt(op.stmt, op.args))
+                out.append(op)
             else:
                 raise CodegenError("unknown op %r" % (op,))
         return tuple(out)
@@ -304,13 +298,13 @@ def emit_c(p: HlsProgram) -> str:
                     w(pad + "} else {")
                     emit_ops(op.els, ind + 1)
                 w(pad + "}")
-            elif isinstance(op, CCallStmt):
-                sd = stmt_by_name[op.name]
+            elif isinstance(op, Call):
+                sd = stmt_by_name[op.stmt]
                 mapping = dict(zip(sd.params, op.args))
                 a = _subst_names(sd.body.ref, mapping)
                 rhs = _subst_names(sd.body.rhs, mapping)
                 w("%s%s = %s;  /* %s */" % (pad, fe.format_expr(a, c=True),
-                                            fe.format_expr(rhs, c=True), op.name))
+                                            fe.format_expr(rhs, c=True), op.stmt))
             else:
                 raise CodegenError("cannot emit op %r" % (op,))
 
@@ -405,8 +399,8 @@ def print_std(ast) -> str:
                     out.append(pad + "} else {")
                     walk(op.els, ind + 1)
                 out.append(pad + "}")
-            elif isinstance(op, CCallStmt):
-                out.append("%scall %s(%s)" % (pad, op.name, ", ".join(op.args)))
+            elif isinstance(op, Call):
+                out.append("%scall %s(%s)" % (pad, op.stmt, ", ".join(op.args)))
 
     walk(body, 0)
     return "\n".join(out) + "\n"

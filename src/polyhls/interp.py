@@ -7,12 +7,15 @@ buffers, name-indexed symbols).  Out-of-bounds accesses and unbound names
 are hard errors — the interpreter is the equivalence oracle, so nothing
 may fail silently.  Loops the compiler marked parallel can be executed in
 a seeded random order (`shuffle_seed`) to test order-independence.
+
+Three executors: the source walker (the reference, sharing no loop code
+with what it checks), the Scop scanner, and one loop-nest walker for
+Affine IR, LoopAst and the HLS kernel.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import frontend as fe
@@ -178,17 +181,13 @@ def _run_program(program, machine):
 
 
 def _run_scop(scop, machine):
-    for s in scop.symbols:
-        if s not in machine.symbols:
-            raise InterpError("unbound symbol %r" % s)
     syms = [machine.symbols[s] for s in scop.symbols]
     if not scop.context.contains((), syms):
         raise InterpError("symbol bindings violate the context set")
     instances = []
     for st in scop.statements:
-        for p in st.domain.points(syms):
-            if st.guard is not None and not st.guard.contains(p, syms):
-                continue
+        scan = st.domain if st.guard is None else st.domain.intersect(st.guard)
+        for p in scan.points(syms):
             time = tuple(eval_expr(r, p, syms) for r in st.schedule.results)
             instances.append((time, st, p))
     instances.sort(key=lambda t: t[0])
@@ -198,48 +197,56 @@ def _run_scop(scop, machine):
 
 
 # ---------------------------------------------------------------------------
-# Affine IR
+# loop nests: Affine IR, the standard-level LoopAst and the HLS kernel.  One
+# walker owns iteration, the parallel-loop order, branches and calls; each
+# representation keeps its own evaluator of bounds and conditions, so the
+# oracle checks `hls.lower_to_standard` apart from codegen.
 
 
-@contextmanager
-def _operands_bound():
-    """The loop executors index their env with map, set and call operands
-    unchecked; a name no enclosing loop or symbol binds ends here."""
-    try:
-        yield
-    except KeyError as e:
-        raise InterpError("unbound operand %r" % e.args[0]) from None
+def _air_bound(mr, env, symbols, agg):
+    dims = [env[d] for d in mr.dims]
+    syms = [symbols[s] if s in symbols else env[s] for s in mr.syms]
+    return agg(eval_expr(r, dims, syms) for r in mr.map.results)
 
 
-def _run_ir(module, machine):
-    stmt_by_name = {s.name: s for s in module.stmts}
-    for s in module.symbols:
-        if s not in machine.symbols:
-            raise InterpError("unbound symbol %r" % s)
+def _air_bounds(op, env, symbols):
+    return _air_bound(op.lb, env, symbols, max), _air_bound(op.ub, env, symbols, min)
 
-    def mapval(mr, env, agg):
-        dims = [env[d] for d in mr.dims]
-        syms = [machine.symbols[s] if s in machine.symbols else env[s] for s in mr.syms]
-        return agg(eval_expr(r, dims, syms) for r in mr.map.results)
+
+def _air_holds(op, env, symbols):
+    dims = [env[d] for d in op.cond.dims]
+    return op.cond.set.contains(dims, [symbols[s] for s in op.cond.syms])
+
+
+def _std_bounds(op, env, symbols):
+    return fe.evaluate(op.lower, env), fe.evaluate(op.upper, env)
+
+
+def _std_holds(op, env, symbols):
+    for e, kind in op.cond:
+        v = fe.evaluate(e, env)
+        if (v != 0) if kind == "eq" else (v < 0):
+            return False
+    return True
+
+
+# loop op class -> (op, env, symbols) -> inclusive (lower, upper);
+# branch op class -> (op, env, symbols) -> whether `then` runs
+_BOUNDS = {For: _air_bounds, hls.CFor: _std_bounds}
+_HOLDS = {If: _air_holds, hls.CGuard: _std_holds}
+
+
+def _run_nest(obj, ops, machine):
+    """Run the loop nest `ops` of `obj` (its symbols and statements).
+    Operands index the env unchecked; a name that no enclosing loop or
+    symbol binds is an unbound-operand error."""
+    stmt_by_name = {s.name: s for s in obj.stmts}
+    symbols = machine.symbols
 
     def exec_ops(ops, env):
         for op in ops:
-            if isinstance(op, For):
-                lo = mapval(op.lb, env, max)
-                up = mapval(op.ub, env, min)
-                count = max(0, up - lo + 1)
-                for k in machine.order(count, op.parallel):
-                    env2 = dict(env)
-                    env2[op.var] = lo + k
-                    exec_ops(op.body, env2)
-            elif isinstance(op, If):
-                dims = [env[d] for d in op.cond.dims]
-                syms = [machine.symbols[s] for s in op.cond.syms]
-                if op.cond.set.contains(dims, syms):
-                    exec_ops(op.then, env)
-                else:
-                    exec_ops(op.els, env)
-            elif isinstance(op, Call):
+            kind = type(op)
+            if kind is Call:
                 sd = stmt_by_name.get(op.stmt)
                 if sd is None:
                     raise InterpError("call to unknown statement %r" % op.stmt)
@@ -248,49 +255,21 @@ def _run_ir(module, machine):
                                       % (op.stmt, len(sd.params), len(op.args)))
                 idxs = tuple(env[a] for a in op.args)
                 _exec_assign(sd.body, machine.env(sd.params, idxs), machine, op.stmt, idxs)
-            else:
-                raise InterpError("cannot execute op %r" % (op,))
-
-    with _operands_bound():
-        exec_ops(module.body, {})
-
-
-# ---------------------------------------------------------------------------
-# standard-level LoopAst
-
-
-def _run_loop_ast(ops, stmts, machine):
-    stmt_by_name = {s.name: s for s in stmts}
-
-    def exec_ops(ops, env):
-        for op in ops:
-            if isinstance(op, hls.CFor):
-                lo = fe.evaluate(op.lower, env)
-                up = fe.evaluate(op.upper, env)
-                count = max(0, up - lo + 1)
-                for k in machine.order(count, op.parallel):
+            elif kind in _BOUNDS:
+                lo, up = _BOUNDS[kind](op, env, symbols)
+                for k in machine.order(max(0, up - lo + 1), op.parallel):
                     env2 = dict(env)
                     env2[op.var] = lo + k
                     exec_ops(op.body, env2)
-            elif isinstance(op, hls.CGuard):
-                ok = True
-                for e, kind in op.cond:
-                    v = fe.evaluate(e, env)
-                    if (v != 0) if kind == "eq" else (v < 0):
-                        ok = False
-                        break
-                exec_ops(op.then if ok else op.els, env)
-            elif isinstance(op, hls.CCallStmt):
-                sd = stmt_by_name.get(op.name)
-                if sd is None:
-                    raise InterpError("call to unknown statement %r" % op.name)
-                idxs = tuple(env[a] for a in op.args)
-                _exec_assign(sd.body, machine.env(sd.params, idxs), machine, op.name, idxs)
+            elif kind in _HOLDS:
+                exec_ops(op.then if _HOLDS[kind](op, env, symbols) else op.els, env)
             else:
                 raise InterpError("cannot execute op %r" % (op,))
 
-    with _operands_bound():
-        exec_ops(ops, dict(machine.symbols))
+    try:
+        exec_ops(ops, dict(symbols))
+    except KeyError as e:
+        raise InterpError("unbound operand %r" % e.args[0]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -300,49 +279,40 @@ def _run_loop_ast(ops, stmts, machine):
 
 def _run_hls(p, machine):
     kinds = dict(p.transfers)
-    device = Machine(dict(machine.symbols), {}, machine.trace, machine.rng)
-    for a in p.arrays:
-        host = machine.arrays.get(a.name)
-        if host is None:
-            raise InterpError("host is missing array %r" % a.name)
-        if kinds[a.name] in ("in", "inout"):
-            data = list(host.data)
-        else:
-            # out-only device buffers start zeroed (matching the C host's
-            # calloc); the kernel is expected to write them fully
-            data = [0] * len(host.data) if a.elem == fe.INT64 else [0.0] * len(host.data)
-        device.arrays[a.name] = Array(a.name, a.elem, host.extents, data)
-    _run_loop_ast(p.kernel, p.stmts, device)
-    for a in p.arrays:
-        if kinds[a.name] in ("out", "inout"):
-            machine.arrays[a.name].data = list(device.arrays[a.name].data)
+    # out-only device buffers start zeroed (matching the C host's calloc);
+    # the kernel is expected to write them fully
+    init = {a.name: machine.array(a.name).data for a in p.arrays if kinds[a.name] != "out"}
+    device = make_machine(machine.symbols, p.arrays, init)
+    device.trace, device.rng = machine.trace, machine.rng
+    _run_nest(p, p.kernel, device)
+    for name, kind in p.transfers:
+        if kind != "in":
+            machine.arrays[name].data = device.arrays[name].data
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def _decls_of(obj):
-    if isinstance(obj, fe.Program):
-        return obj.arrays
-    if isinstance(obj, (Scop, AffineIrModule, hls.LoopAst, hls.HlsProgram)):
-        return obj.arrays
-    raise InterpError("cannot interpret %r" % type(obj).__name__)
+_EXECUTORS = {
+    fe.Program: _run_program,
+    Scop: _run_scop,
+    AffineIrModule: lambda m, machine: _run_nest(m, m.body, machine),
+    hls.LoopAst: lambda ast, machine: _run_nest(ast, ast.body, machine),
+    hls.HlsProgram: _run_hls,
+}
 
 
 def run(obj, symbols, init=None, trace=False, shuffle_seed=None):
     """Execute any representation; returns the final :class:`Machine`."""
-    machine = make_machine(symbols, _decls_of(obj), init, trace, shuffle_seed)
-    if isinstance(obj, fe.Program):
-        _run_program(obj, machine)
-    elif isinstance(obj, Scop):
-        _run_scop(obj, machine)
-    elif isinstance(obj, AffineIrModule):
-        _run_ir(obj, machine)
-    elif isinstance(obj, hls.HlsProgram):
-        _run_hls(obj, machine)
-    elif isinstance(obj, hls.LoopAst):
-        _run_loop_ast(obj.body, obj.stmts, machine)
+    executor = _EXECUTORS.get(type(obj))
+    if executor is None:
+        raise InterpError("cannot interpret %r" % type(obj).__name__)
+    for s in obj.symbols:
+        if s not in symbols:
+            raise InterpError("unbound symbol %r" % s)
+    machine = make_machine(symbols, obj.arrays, init, trace, shuffle_seed)
+    executor(obj, machine)
     return machine
 
 

@@ -185,10 +185,17 @@ def wavefront_parallelize(scop):
 def sub_bounding_box_tile(scop, spec):
     """Uniform per-tile bounds: every tile iterates the full rectangular
     size-s box per tiled dim, with a guard masking points outside the
-    original domain.  Applies `tile` first when the scop is untiled."""
+    original domain.  Applies `tile` first when the scop is untiled; a
+    tiled scop must have been tiled with the same sizes."""
+    if not scop.statements:
+        return scop
     if scop.tiling is None:
         scop = tile(scop, spec)
     info = scop.tiling
+    depth = len(scop.statements[0].body_dims)
+    if spec.sizes[-depth:] != info.sizes:
+        raise IllegalTilingError("sub-bounding-box sizes %s differ from the tile sizes %s"
+                                 % (spec.sizes[-depth:], info.sizes))
     new_stmts = []
     ns = len(scop.symbols)
     for s, orig in zip(scop.statements, info.orig_domains):

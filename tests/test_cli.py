@@ -16,6 +16,12 @@ def pc_file(tmp_path):
     return str(f)
 
 
+def corpus_file(tmp_path, entry):
+    f = tmp_path / (entry.name + ".pc")
+    f.write_text(entry.source)
+    return str(f)
+
+
 def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
@@ -79,6 +85,19 @@ class TestCompile:
         code, out, _ = run_cli(capsys, pc_file, "-tile=4,4", "-wavefront",
                                "--verify-each", "--emit=affine")
         assert code == 0 and "module {" in out
+
+    def test_dump_bounds_reuses_module(self, pc_file, capsys, monkeypatch):
+        calls = []
+        real = cli.generate_loops
+
+        def counted(scop):
+            calls.append(scop)
+            return real(scop)
+
+        monkeypatch.setattr(cli, "generate_loops", counted)
+        code, out, _ = run_cli(capsys, pc_file, "-tile=4,4", "--dump=bounds", "--emit=hls-c")
+        assert code == 0 and "scop0_kernel" in out
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("assume, row", [
         ("N>=2", "N - 2 >= 0"),
@@ -145,7 +164,31 @@ class TestErrors:
         f = tmp_path / "m.air"
         f.write_text("module {\n}\n")
         code, _, err = run_cli(capsys, str(f), "-tile=4,4", "--emit=affine")
-        assert code == 1
+        assert code == 1 and "-tile needs a .pc input" in err
+
+    @pytest.mark.parametrize("flags", [["--assume", "N>=2"], ["--verify-each"]],
+                             ids=["assume", "verify-each"])
+    def test_pc_only_flag_on_affine_input(self, capsys, tmp_path, flags):
+        air = tmp_path / "copy.air"
+        air.write_text(run_cli(capsys, corpus_file(tmp_path, corpus.COPY), "--emit=affine")[1])
+        code, out, err = run_cli(capsys, str(air), "--emit=std", *flags)
+        assert code == 1 and out == ""
+        assert "error: %s needs a .pc input" % flags[0] in err
+
+    @pytest.mark.parametrize("flag", ["-tile=4", "--emit=std", "--dump=deps", "--assume=N>=2",
+                                      "--verify-each"])
+    def test_compile_flag_in_run_mode(self, capsys, tmp_path, flag):
+        code, out, err = run_cli(capsys, "run", corpus_file(tmp_path, corpus.COPY),
+                                 "--set", "N=3", flag)
+        assert code == 1 and out == ""
+        assert "error: %s needs" % flag.partition("=")[0] in err
+
+    @pytest.mark.parametrize("flags", [["--set", "N=3"], ["--init", "A=@a.txt"], ["--trace"],
+                                       ["--dump-arrays"]], ids=["set", "init", "trace", "dump-arrays"])
+    def test_run_flag_in_compile_mode(self, capsys, tmp_path, flags):
+        code, out, err = run_cli(capsys, corpus_file(tmp_path, corpus.COPY), "--emit=std", *flags)
+        assert code == 1 and out == ""
+        assert "error: %s needs run mode" % flags[0] in err
 
     def test_syntax_error_reported(self, capsys, tmp_path):
         f = tmp_path / "bad.pc"

@@ -1,5 +1,7 @@
 """Interpreter (equivalence oracle) tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from polyhls import frontend as fe, hls, interp
@@ -71,6 +73,21 @@ class TestRunSource:
             with pytest.raises(InterpError, match="'k'"):
                 interp.run(rep, {"N": 8})
 
+    @pytest.mark.parametrize("lower", [False, True], ids=["air", "std"])
+    def test_call_arity_checked(self, lower):
+        text = ("#map0 = affine_map<()[s0] -> (0)>\n#map1 = affine_map<()[s0] -> (s0)>\n"
+                "module {\n  symbol N\n  array A : float64 [N]\n"
+                "  stmt S1(i) { A[i] = A[i] + 1.0; }\n"
+                "  affine.for i = max #map0()[N] to min #map1()[N] {\n  call @S1(i)\n}\n}\n")
+        rep = parse_ir(text)
+        if lower:
+            rep = hls.lower_to_standard(rep)
+        loop = rep.body[0]
+        call = loop.body[0]
+        bad = replace(rep, body=(replace(loop, body=(replace(call, args=call.args + ("N",)),)),))
+        with pytest.raises(InterpError, match="S1: expected 1 args, got 2"):
+            interp.run(bad, {"N": 3})
+
     def test_determinism(self):
         prog = fe.parse_program(corpus.MATMUL.source)
         init = corpus.init_arrays(prog, {"N": 6}, seed=11)
@@ -119,6 +136,17 @@ class TestShuffle:
                        trace=True, shuffle_seed=42).trace
         assert a == b
         assert a != t1  # shuffling the parallel tile loop reorders instances
+
+    def test_loop_nest_levels_shuffle_alike(self):
+        # one walker orders the parallel loops of all three loop-nest levels
+        prog = stencil_prog()
+        scop = wavefront_parallelize(tile(build_scop(prog)[0], TilingSpec((4, 4))))
+        m = simplify_bounds(generate_loops(scop))
+        hp = hls.insert_directives(hls.partition(m, scop.name))
+        traces = [interp.run(rep, {"N": 13}, trace=True, shuffle_seed=3).trace
+                  for rep in (m, hls.lower_to_standard(m), hp)]
+        assert traces[0] != interp.trace(m, {"N": 13})
+        assert traces[1] == traces[0] and traces[2] == traces[0]
 
     def test_parallel_loop_shuffle_preserves_results(self):
         prog = stencil_prog()

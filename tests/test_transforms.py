@@ -254,3 +254,16 @@ class TestSubBoundingBox:
                                                      TilingSpec((8, 8))),
                                {"N": n}, init).arrays["A"].data
             assert plain == subbb
+
+    @pytest.mark.parametrize("first", [tile, sub_bounding_box_tile], ids=["tile", "subbb-tile"])
+    def test_sizes_must_match_existing_tiling(self, first):
+        tiled = first(stencil(), TilingSpec((4, 4)))
+        with pytest.raises(IllegalTilingError, match="differ from the tile sizes"):
+            sub_bounding_box_tile(tiled, TilingSpec((2, 2)))
+        # the sizes are truncated to the band, as `tile` truncates them
+        again = sub_bounding_box_tile(tiled, TilingSpec((9, 4, 4)))
+        assert again.tiling.sizes == (4, 4)
+
+    def test_empty_scop_unchanged(self):
+        scop = build_scop(fe.parse_program("int N;\n#pragma scop\n#pragma endscop\n"))[0]
+        assert sub_bounding_box_tile(scop, TilingSpec((4,))) is scop

@@ -9,9 +9,12 @@ runs untransformed and under tile, tile+wavefront and subbb-tile at band
 depth min(2, d) and at its full loop depth d (tile size 4), with
 `--emit=affine|std|hls-c` and `--dump=scop|deps|bounds`.  Every stored
 `perfbench/air/*.air` module (read in place) runs with
-`--emit=affine|std|hls-c` and `--dump=bounds`.  Each file holds the exit
-code, stdout and stderr of one case, so `diff -r` of the OUTDIRs of two
-checkouts lists every output that differs between them.
+`--emit=affine|std|hls-c` and `--dump=bounds`.  Every `.pc` input and
+every stored module also runs once as `run --trace --dump-arrays`, with
+every symbol set to 5, non-zero arrays and `POLYHLS_SEED=1`, so the
+interpreter gets the same check as the emitters.  Each file holds the
+exit code, stdout and stderr of one case, so `diff -r` of the OUTDIRs of
+two checkouts lists every output that differs between them.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from polyhls import cli, frontend as fe  # noqa: E402
+from polyhls.ir import parse_ir  # noqa: E402
 from polyhls.scop import build_scop  # noqa: E402
 
 import corpus  # noqa: E402
@@ -33,6 +37,7 @@ TILE = 4
 EMITS = ("--emit=affine", "--emit=std", "--emit=hls-c")
 OUTPUTS = EMITS + ("--dump=scop", "--dump=deps", "--dump=bounds")
 AIR_OUTPUTS = EMITS + ("--dump=bounds",)
+RUN_SIZE = 5
 
 
 def programs():
@@ -66,6 +71,24 @@ def run(path, argv):
         f.write("exit %d\n--- stdout\n%s--- stderr\n%s" % (code, out.getvalue(), err.getvalue()))
 
 
+def run_mode(outdir, name, path, obj):
+    """Write `poly-hls run` of `path` (parsed as `obj`) with every symbol
+    at RUN_SIZE and every array read from a file of non-zero values."""
+    argv = ["run", path, "--trace", "--dump-arrays"]
+    for s in obj.symbols:
+        argv += ["--set", "%s=%d" % (s, RUN_SIZE)]
+    for k, a in enumerate(obj.arrays):
+        size = 1
+        for e in a.extents:
+            size *= RUN_SIZE if isinstance(e, str) else e
+        vals = [(7 * i + 3 * k + 1) % 11 for i in range(size)]
+        init = os.path.join(outdir, "inputs", "%s__%s.txt" % (name, a.name))
+        with open(init, "w") as f:
+            f.write(" ".join(str(v if a.elem == fe.INT64 else v / 4.0) for v in vals))
+        argv += ["--init", "%s=@%s" % (a.name, init)]
+    run(os.path.join(outdir, "%s__run.txt" % name), argv)
+
+
 def case_name(prefix, output):
     """File name of the case that runs `prefix`'s input with flag `output`."""
     return "%s__%s.txt" % (prefix, output.lstrip("-").replace("=", "-"))
@@ -76,11 +99,14 @@ def main(argv):
         sys.exit("usage: python3 tools/emit_matrix.py OUTDIR")
     outdir = argv[0]
     os.makedirs(os.path.join(outdir, "inputs"), exist_ok=True)
+    os.environ["POLYHLS_SEED"] = "1"
     cases = 0
     for name, source in programs():
         path = os.path.join(outdir, "inputs", name + ".pc")
         with open(path, "w") as f:
             f.write(source)
+        run_mode(outdir, name, path, fe.parse_program(source))
+        cases += 1
         for pname, flags in pipelines(source):
             for output in OUTPUTS:
                 case = case_name("%s__%s" % (name, pname), output)
@@ -88,6 +114,9 @@ def main(argv):
                 cases += 1
     for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
         name = "air-" + os.path.basename(path)[:-4]
+        with open(path) as f:
+            run_mode(outdir, name, path, parse_ir(f.read()))
+        cases += 1
         for output in AIR_OUTPUTS:
             run(os.path.join(outdir, case_name(name, output)), [path, output])
             cases += 1
