@@ -30,13 +30,11 @@ Column order of a constraint row: dims, existentials, symbols, constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
     ArityMismatchError,
     MalformedExpressionError,
-    NonUnimodularMatrixError,
     ParseError,
     UnboundedDimensionError,
 )
@@ -208,16 +206,6 @@ def eval_expr(expr, dims=(), syms=()):
     for kind, op, b, c in expr.divs:
         v += c * _apply(kind, eval_expr(op, dims, syms), b)
     return v
-
-
-def subst_expr(expr, dim_exprs, sym_exprs=None):
-    """Substitute dims (and optionally symbols) by expressions."""
-    parts = [(Const(expr.const), 1)]
-    parts += [(dim_exprs[i], c) for i, c in expr.dims]
-    parts += [(SymRef(j) if sym_exprs is None else sym_exprs[j], c) for j, c in expr.syms]
-    parts += [(_div(k, subst_expr(op, dim_exprs, sym_exprs), b), c)
-              for k, op, b, c in expr.divs]
-    return _sum(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -562,22 +550,6 @@ class IntegerSet:
             rows.append((coeffs[:nd] + (0,) * self.num_exists + coeffs[nd:], is_eq))
         return IntegerSet(nd, ne, self.num_syms, _prune_rows(rows))
 
-    def apply_unimodular(self, matrix):
-        """Reindex dims by a unimodular matrix: the result contains M@x iff
-        self contains x."""
-        inv = _unimodular_inverse(matrix, self.num_dims)
-        nd, ne, ns = self.num_dims, self.num_exists, self.num_syms
-        rows = []
-        for coeffs, is_eq in self.rows:
-            newd = [sum(coeffs[i] * inv[i][j] for i in range(nd)) for j in range(nd)]
-            rows.append((tuple(newd) + coeffs[nd:nd + ne + ns + 1], is_eq))
-        out = []
-        for coeffs, is_eq in rows:
-            r = _norm_row(coeffs, is_eq)
-            if r is not None:
-                out.append(r)
-        return IntegerSet(nd, ne, ns, _prune_rows(out))
-
     def __str__(self):
         return format_set(self)
 
@@ -706,34 +678,6 @@ class _LinBuilder:
         return tuple(out)
 
 
-def _unimodular_inverse(matrix, n):
-    if len(matrix) != n or any(len(r) != n for r in matrix):
-        raise ArityMismatchError("matrix must be %dx%d" % (n, n))
-    m = [[Fraction(v) for v in row] for row in matrix]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise NonUnimodularMatrixError("singular matrix")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        det *= m[col][col]
-        f = m[col][col]
-        m[col] = [v / f for v in m[col]]
-        inv[col] = [v / f for v in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    if det not in (1, -1):
-        raise NonUnimodularMatrixError("matrix determinant is %s, not +/-1" % det)
-    return [[int(v) for v in row] for row in inv]
-
-
 # ---------------------------------------------------------------------------
 # AffineMap
 
@@ -757,23 +701,6 @@ class AffineMap:
         if len(dims) != self.num_dims or len(syms) < self.num_syms:
             raise ArityMismatchError("map applied to wrong number of operands")
         return tuple(eval_expr(r, dims, syms) for r in self.results)
-
-    def compose(self, inner):
-        """self o inner: (self . inner)(x) == self(inner(x)).  Symbol spaces
-        are merged positionally."""
-        if self.num_dims != len(inner.results):
-            raise ArityMismatchError(
-                "compose: outer expects %d dims, inner yields %d results"
-                % (self.num_dims, len(inner.results)))
-        results = tuple(subst_expr(r, list(inner.results)) for r in self.results)
-        return AffineMap(inner.num_dims, max(self.num_syms, inner.num_syms), results)
-
-    def apply_unimodular(self, matrix):
-        """Left-multiply the result vector by a unimodular matrix."""
-        n = len(self.results)
-        _unimodular_inverse(matrix, n)  # arity + determinant check
-        res = tuple(_sum(zip(self.results, row)) for row in matrix)
-        return AffineMap(self.num_dims, self.num_syms, res)
 
     def insert_dims(self, at, count):
         """Renumber dims to make room for ``count`` new dims at ``at`` (the

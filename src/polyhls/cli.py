@@ -152,6 +152,8 @@ def _verify_snapshot(scop):
 
 
 def _verify_each(scop, passname, ref):
+    """Check the Affine IR of `scop` and run it and `scop` against `ref`;
+    returns the (unsimplified) module."""
     symbols, init, want = ref
     module = generate_loops(scop)
     diags = verify_ir(module)
@@ -163,6 +165,7 @@ def _verify_each(scop, passname, ref):
         if got != want:
             raise VerificationError(
                 "after %s: interpreter mismatch at N=%d" % (passname, symbols[list(symbols)[0]] if symbols else 0))
+    return module
 
 
 _MODULE_EMITS = ("affine", "std", "hls-c")
@@ -223,17 +226,20 @@ def _compile_pc(opts, prog, out):
     if emit in _MODULE_EMITS and len(scops) > 1:
         raise _UserError("--emit=%s supports exactly one SCoP (input has %d)"
                          % (emit, len(scops)))
-    results = []
+    results, verified = [], []
     for scop in scops:
         ref = _verify_snapshot(scop) if opts["verify_each"] else None
+        module = None  # the module of the last verified pass
         for name, arg in opts["passes"]:
             scop = _apply_pass(scop, name, arg)
             if ref is not None:
-                _verify_each(scop, name, ref)
+                module = _verify_each(scop, name, ref)
         results.append(scop)
+        verified.append(module)
     modules = None
     if "bounds" in opts["dumps"] or emit in _MODULE_EMITS:
-        modules = [simplify_bounds(generate_loops(scop)) for scop in results]
+        modules = [simplify_bounds(m or generate_loops(scop))
+                   for m, scop in zip(verified, results)]
     for d in opts["dumps"]:
         for k, scop in enumerate(results):
             if d == "scop":

@@ -35,7 +35,12 @@ def _stmt_is_empty(scop, stmt):
     return stmt.domain.intersect(ctx).is_empty()
 
 
-def _level_var_name(scop, group, level, loop_index, taken):
+def _level_var_name(group, level, loop_index, taken, reserved):
+    """Name of the loop at `level`: the dim name every statement of `group`
+    schedules there, else ``t<loop_index + 1>``, suffixed with ``_`` until it
+    is neither an enclosing loop var (`taken`) nor a symbol or array name
+    (`reserved`)."""
+    taken = taken | reserved
     name = None
     for s in group:
         d = s.schedule.results[level].as_dim()
@@ -88,6 +93,7 @@ def generate_loops(scop):
     depth = scop.time_depth
     syms = tuple(scop.symbols)
     scan_sets = {s.name: _scan_set(scop, s) for s in stmts}
+    reserved = set(syms) | {a.name for a in scop.arrays}
 
     # domain dim -> loop level (for call operands and guards)
     dim_level = {}
@@ -137,7 +143,7 @@ def generate_loops(scop):
                     "statements %s share a loop level with differing bounds"
                     % [s.name for s in group])
         lo, up = bounds
-        var = _level_var_name(scop, group, level, li, set(var_names))
+        var = _level_var_name(group, level, li, set(var_names), reserved)
         operands = tuple(var_names[:li])
         lb = MapRef(AffineMap(li, len(syms), tuple(lo)), operands, syms)
         ub = MapRef(AffineMap(li, len(syms), tuple(up)), operands, syms)

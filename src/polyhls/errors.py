@@ -14,10 +14,6 @@ class ArityMismatchError(PolyHlsError):
     """Map/set composition or application with incompatible arities."""
 
 
-class NonUnimodularMatrixError(PolyHlsError):
-    """A reindexing matrix whose determinant is not +/-1."""
-
-
 class UnboundedDimensionError(PolyHlsError):
     """A scanned dimension has no finite lower or upper bound."""
 

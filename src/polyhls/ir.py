@@ -357,6 +357,9 @@ def verify_ir(module):
             if isinstance(op, For):
                 if op.var in in_scope:
                     diags.append("loop var %r shadows an enclosing loop" % op.var)
+                if op.var in symbols or op.var in arrays:
+                    diags.append("loop var %r shadows %s" % (
+                        op.var, "a symbol" if op.var in symbols else "an array"))
                 if not op.lb.map.results or not op.ub.map.results:
                     diags.append("loop %r has an empty bound map" % op.var)
                 check_ref(op.lb, in_scope, "loop %s lb" % op.var)

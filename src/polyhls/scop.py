@@ -11,16 +11,6 @@ from .errors import NonAffineError, ParseError
 
 
 @dataclass(frozen=True)
-class TilingInfo:
-    """Bookkeeping left behind by the tiling transform."""
-
-    sizes: tuple  # per tiled dim
-    tile_dims: tuple  # tile dim indices in the (new) domain space
-    point_dims: tuple  # tiled point dim indices in the (new) domain space
-    orig_domains: tuple  # pre-tiling domains, embedded into the new space
-
-
-@dataclass(frozen=True)
 class PolyStmt:
     name: str
     domain: IntegerSet  # dims = loop vars (plus tile dims after tiling)
@@ -41,7 +31,7 @@ class Scop:
     statements: tuple  # of PolyStmt
     arrays: tuple = ()  # of frontend.ArrayDecl
     parallel_levels: frozenset = frozenset()  # schedule time levels marked parallel
-    tiling: TilingInfo = None
+    tile_sizes: tuple = ()  # of the last tiling; its tile dims are the first domain dims
 
     @property
     def time_depth(self):

@@ -1,10 +1,11 @@
 """Schedule/domain transformations: rectangular tiling, skewing, tile-band
 wavefront parallelization, and sub-bounding-box tiling.
 
-Tiling is encoded polyhedrally: tile indices become real domain dims with
-``s*T <= d <= s*T + s - 1`` constraints and the schedule grows matching
-outer time levels, so code generation derives the tiled bounds mechanically
-from the same representation.
+Tiling is encoded polyhedrally: tile indices become real domain dims T with
+``s*T <= phi(x) <= s*T + s - 1`` constraints on the band's schedule rows
+phi (Pluto's tiling hyperplanes) and the schedule grows matching outer time
+levels, so code generation derives the tiled bounds mechanically from the
+same representation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import replace
 from .affine import INEQ, AffineMap, Const, DimRef, IntegerSet
 from .dependence import relations, time_difference
 from .errors import IllegalTilingError, ArityMismatchError
-from .scop import TilingInfo
 
 
 class TilingSpec:
@@ -51,14 +51,16 @@ def _witness(scop, sp, sq, kind, test):
     return "%s, with no point at symbol values 1 to 8" % kind
 
 
-def _tile_box(num_dims, num_syms, tile_dims, point_dims, sizes):
-    """``s*t <= d <= s*t + s - 1`` for each tile dim t, point dim d and
-    size s."""
+def _tile_box(sched, band_levels, sizes):
+    """``s*T_k <= phi_k <= s*T_k + s - 1`` for the schedule row phi_k of
+    each band level, tile dim T_k = d_k and size s, over the dims of
+    `sched`."""
     cons = []
-    for t, d, size in zip(tile_dims, point_dims, sizes):
-        cons.append((DimRef(d) - DimRef(t) * size, INEQ))
-        cons.append((DimRef(t) * size + size - 1 - DimRef(d), INEQ))
-    return IntegerSet.from_constraints(num_dims, num_syms, cons)
+    for k, (lvl, size) in enumerate(zip(band_levels, sizes)):
+        row = sched.results[lvl]
+        cons.append((row - DimRef(k) * size, INEQ))
+        cons.append((DimRef(k) * size + size - 1 - row, INEQ))
+    return IntegerSet.from_constraints(sched.num_dims, sched.num_syms, cons)
 
 
 def _check_band_permutable(scop, band_levels):
@@ -84,7 +86,8 @@ def _check_band_permutable(scop, band_levels):
 def tile(scop, spec):
     """Rectangular tiling of the innermost band of len(spec.sizes) loops.
 
-    Adds one tile dim per tiled loop dim (outermost in the schedule);
+    Adds one tile dim per band level (outermost in the domain and the
+    schedule) that cuts the level's schedule row into size-s slices;
     point semantics of each domain are unchanged.
     """
     if not scop.statements:
@@ -95,43 +98,26 @@ def tile(scop, spec):
     depth = depths.pop()
     sizes = spec.sizes[-depth:] if len(spec.sizes) > depth else spec.sizes
     m = len(sizes)
-    loop_levels = scop.loop_levels()
-    band_levels = loop_levels[-m:]
+    band_levels = scop.loop_levels()[-m:]
     _check_band_permutable(scop, band_levels)
 
-    ns = len(scop.symbols)
+    prefix = []
+    for k in range(m):
+        prefix += [Const(0), DimRef(k)]
     new_stmts = []
-    orig_domains = []
-    band_dims = None
     for s in scop.statements:
-        band = tuple(s.body_dims[-m:])  # innermost-aligned
-        if band_dims is None:
-            band_dims = tuple(b + m for b in band)
-        dom = s.domain.insert_dims(0, m)
-        orig_domains.append(dom)
-        dom = dom.intersect(_tile_box(dom.num_dims, ns, range(m), [d + m for d in band], sizes))
         sched = s.schedule.insert_dims(0, m)
-        prefix = []
-        for k in range(m):
-            prefix += [Const(0), DimRef(k)]
-        sched = AffineMap(sched.num_dims, ns, tuple(prefix) + sched.results)
         new_stmts.append(replace(
             s,
-            domain=dom,
-            dim_names=tuple("t" + s.dim_names[d] for d in band) + s.dim_names,
-            schedule=sched,
+            domain=s.domain.insert_dims(0, m).intersect(_tile_box(sched, band_levels, sizes)),
+            dim_names=tuple("t" + s.dim_names[d] for d in s.body_dims[-m:]) + s.dim_names,
+            schedule=AffineMap(sched.num_dims, sched.num_syms, tuple(prefix) + sched.results),
             writes=tuple((a, mp.insert_dims(0, m)) for a, mp in s.writes),
             reads=tuple((a, mp.insert_dims(0, m)) for a, mp in s.reads),
             body_dims=tuple(d + m for d in s.body_dims),
             guard=s.guard.insert_dims(0, m) if s.guard is not None else None,
         ))
-    info = TilingInfo(
-        sizes=sizes,
-        tile_dims=tuple(range(m)),
-        point_dims=band_dims,
-        orig_domains=tuple(orig_domains),
-    )
-    return replace(scop, statements=tuple(new_stmts), tiling=info,
+    return replace(scop, statements=tuple(new_stmts), tile_sizes=sizes,
                    parallel_levels=frozenset())
 
 
@@ -176,37 +162,51 @@ def wavefront_parallelize(scop):
     -1.  Before the skew the pair would then run the other way round,
     carried at ti with a ti difference of at least 1, and the skew would
     turn that difference into 0; `skew` rejects exactly that."""
-    if scop.tiling is None or len(scop.tiling.tile_dims) < 2:
+    if len(scop.tile_sizes) < 2:
         raise IllegalTilingError("wavefront needs a tiled 2-band; run tile first")
     skewed = skew(scop, (0, 1), 1)
     return replace(skewed, parallel_levels=frozenset({skewed.loop_levels()[1]}))
 
 
 def sub_bounding_box_tile(scop, spec):
-    """Uniform per-tile bounds: every tile iterates the full rectangular
-    size-s box per tiled dim, with a guard masking points outside the
-    original domain.  Applies `tile` first when the scop is untiled; a
-    tiled scop must have been tiled with the same sizes."""
+    """Uniform per-tile bounds: every tile iterates the full size-s box of
+    each band row, with a guard masking points outside the original domain.
+    Applies `tile` first when the scop is untiled; a tiled scop must have
+    been tiled with the same sizes.
+
+    Everything is read off the tiled scop.  Its point dims are the dims the
+    band rows read.  Its guard is the tiled domain with the tile dims
+    projected out: only the box rows read a tile dim, and Fourier-Motzkin
+    of each pair of them gives ``s*(s-1) >= 0``, so the projection is the
+    original domain exactly."""
     if not scop.statements:
         return scop
-    if scop.tiling is None:
+    if not scop.tile_sizes:
         scop = tile(scop, spec)
-    info = scop.tiling
+    sizes = scop.tile_sizes
     depth = len(scop.statements[0].body_dims)
-    if spec.sizes[-depth:] != info.sizes:
+    if spec.sizes[-depth:] != sizes:
         raise IllegalTilingError("sub-bounding-box sizes %s differ from the tile sizes %s"
-                                 % (spec.sizes[-depth:], info.sizes))
+                                 % (spec.sizes[-depth:], sizes))
+    m = len(sizes)
+    band_levels = scop.loop_levels()[-m:]
     new_stmts = []
-    ns = len(scop.symbols)
-    for s, orig in zip(scop.statements, info.orig_domains):
-        proj = s.domain
-        for d in sorted(info.point_dims, reverse=True):
-            proj = proj.project(d)
-        # re-embed the tile/outer-dim constraints into the full dim space
-        emb = proj
-        for d in sorted(info.point_dims):
+    for s in scop.statements:
+        box = _tile_box(s.schedule, band_levels, sizes)
+        if s.domain.intersect(box) != s.domain:
+            raise IllegalTilingError("statement %s: the band rows differ from the rows it "
+                                     "was tiled by" % s.name)
+        point_dims = sorted({d for lvl in band_levels for d, _ in s.schedule.results[lvl].dims})
+        # the tile constraints on the dims outside the box
+        emb = s.domain
+        for d in reversed(point_dims):
+            emb = emb.project(d)
+        for d in point_dims:
             emb = emb.insert_dims(d, 1)
-        box = _tile_box(s.domain.num_dims, ns, info.tile_dims, info.point_dims, info.sizes)
+        orig = s.domain
+        for _ in range(m):
+            orig = orig.project(0)
+        orig = orig.insert_dims(0, m)
         guard = orig if s.guard is None else orig.intersect(s.guard)
         new_stmts.append(replace(s, domain=emb.intersect(box), guard=guard))
     return replace(scop, statements=tuple(new_stmts))

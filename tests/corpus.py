@@ -179,6 +179,22 @@ for (t = 0; t < T; t++) {
 """, depth=3)
 
 
+# Not in ALL either: the time loop carries the in-place update, so only a
+# skewed band (t, t + i) can be tiled.
+SEIDEL_1D = CorpusProgram("seidel-1d", """\
+int T;
+int N;
+float A[N];
+#pragma scop
+for (t = 0; t < T; t++) {
+  for (i = 1; i < N - 1; i++) {
+    A[i] = 0.33333 * (A[i-1] + A[i] + A[i+1]);
+  }
+}
+#pragma endscop
+""", depth=2)
+
+
 def parse(p: CorpusProgram):
     return fe.parse_program(p.source)
 

@@ -24,7 +24,6 @@ from polyhls.affine import (
 from polyhls.errors import (
     ArityMismatchError,
     MalformedExpressionError,
-    NonUnimodularMatrixError,
     ParseError,
     UnboundedDimensionError,
 )
@@ -249,48 +248,6 @@ class TestBoundsForDim:
                 yield from scan(k + 1, outer + [v])
 
         assert set(scan(0, [])) == s.points()
-
-
-class TestCompose:
-    def test_identity(self):
-        m = parse_map("affine_map<(d0, d1) -> (d0 + d1, d1)>")
-        assert AffineMap.identity(2).compose(m) == m
-
-    def test_tileindex_of_sum(self):
-        outer = parse_map("affine_map<(d0) -> (d0 floordiv 32)>")
-        inner = parse_map("affine_map<(d0, d1) -> (d0 + d1)>")
-        c = outer.compose(inner)
-        import random
-        rng = random.Random(5)
-        for _ in range(20):
-            i, j = rng.randrange(-99, 100), rng.randrange(-99, 100)
-            assert c.eval((i, j)) == ((i + j) // 32,)
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatchError):
-            AffineMap.identity(2).compose(AffineMap.identity(1))
-
-
-class TestApplyUnimodular:
-    def test_identity_matrix(self):
-        s = box([(1, 2), (1, 2)])
-        assert s.apply_unimodular([[1, 0], [0, 1]]).points() == s.points()
-
-    def test_skew(self):
-        s = box([(1, 2), (1, 2)])
-        t = s.apply_unimodular([[1, 1], [0, 1]])
-        assert t.points() == {(i + j, j) for i in (1, 2) for j in (1, 2)}
-
-    def test_non_unimodular_rejected(self):
-        with pytest.raises(NonUnimodularMatrixError):
-            box([(0, 1)]).apply_unimodular([[2]])
-
-    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 4)),
-                    min_size=2, max_size=2))
-    def test_preserves_point_count(self, bs):
-        s = box([(a, a + w) for a, w in bs])
-        t = s.apply_unimodular([[1, 3], [0, 1]])
-        assert len(t.points()) == len(s.points())
 
 
 class TestEnumerationAgreesWithMembership:

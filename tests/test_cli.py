@@ -86,6 +86,21 @@ class TestCompile:
                                "--verify-each", "--emit=affine")
         assert code == 0 and "module {" in out
 
+    def test_verify_each_reuses_module(self, pc_file, capsys, monkeypatch):
+        # one module per pass, the last one emitted
+        calls = []
+        real = cli.generate_loops
+
+        def counted(scop):
+            calls.append(scop)
+            return real(scop)
+
+        monkeypatch.setattr(cli, "generate_loops", counted)
+        code, out, _ = run_cli(capsys, pc_file, "-tile=4,4", "-wavefront", "--verify-each",
+                               "--emit=affine")
+        assert code == 0 and "affine.parallel_for" in out
+        assert len(calls) == 2
+
     def test_dump_bounds_reuses_module(self, pc_file, capsys, monkeypatch):
         calls = []
         real = cli.generate_loops
@@ -159,6 +174,25 @@ class TestErrors:
     def test_reversing_skew_is_user_error(self, pc_file, capsys):
         code, out, err = run_cli(capsys, pc_file, "-skew=0,1,-1", "--dump=deps")
         assert code == 1 and out == "" and "skew reverses dependence" in err
+
+    def test_skewed_band_is_codegen_error(self, capsys, tmp_path):
+        # the tiled Scop is right, but codegen cannot yet call a statement
+        # whose loop var is not a loop of the nest
+        f = corpus_file(tmp_path, corpus.SEIDEL_1D)
+        code, out, err = run_cli(capsys, f, "-skew=1,0,1", "-tile=4,4", "--emit=affine")
+        assert code == 1 and out == ""
+        assert err == "poly-hls: error: statement S1: loop var i is not directly scheduled\n"
+
+    def test_loop_var_shadowing_symbol_is_invalid_module(self, capsys, tmp_path):
+        f = tmp_path / "shadow.air"
+        f.write_text("#map0 = affine_map<()[s0] -> (0)>\n#map1 = affine_map<()[s0] -> (s0)>\n"
+                     "module {\n  symbol ti\n  array A : float64 [ti]\n"
+                     "  stmt S1(i) { A[i] = A[i] + 1.0; }\n"
+                     "  affine.for ti = max #map0()[ti] to min #map1()[ti] {\n"
+                     "    call @S1(ti)\n  }\n}\n")
+        code, out, err = run_cli(capsys, str(f), "--emit=hls-c")
+        assert code == 1 and out == ""
+        assert "invalid module: loop var 'ti' shadows a symbol" in err
 
     def test_passes_on_affine_input_rejected(self, capsys, tmp_path):
         f = tmp_path / "m.air"

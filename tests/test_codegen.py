@@ -2,11 +2,11 @@
 
 import pytest
 
-from polyhls import frontend as fe, interp
+from polyhls import frontend as fe, hls, interp
 from polyhls.affine import eval_expr
 from polyhls.codegen import dump_bounds, generate_loops, simplify_bounds
 from polyhls.errors import CodegenError
-from polyhls.ir import For, parse_ir, print_ir
+from polyhls.ir import For, parse_ir, print_ir, verify_ir
 from polyhls.scop import build_scop
 from polyhls.transforms import (TilingSpec, sub_bounding_box_tile, tile,
                                 wavefront_parallelize)
@@ -85,6 +85,23 @@ class TestTiledBounds:
                     want = scheduled_trace(scop, n)
                     got = interp.trace(m, {s: n for s in scop.symbols})
                     assert got == want, (entry.name, pname, n)
+
+
+def test_tile_loop_not_named_after_symbol():
+    # `i`'s tile loop would be named `ti`, the name of the symbol; below the
+    # affine level loop vars and symbols share one namespace
+    prog = fe.parse_program("int ti;\nfloat A[ti];\n#pragma scop\n"
+                            "for (i = 0; i < ti; i++) { A[i] = A[i] + 1.0; }\n"
+                            "#pragma endscop\n")
+    scop = tile(build_scop(prog)[0], TilingSpec((4,)))
+    module = simplify_bounds(generate_loops(scop))
+    assert verify_ir(module) == []
+    symbols = {"ti": 9}
+    init = corpus.init_arrays(prog, symbols, seed=9)
+    want = interp.run(prog, symbols, init).arrays["A"].data
+    for rep in (scop, parse_ir(print_ir(module)), hls.lower_to_standard(module),
+                hls.insert_directives(hls.partition(module, scop.name))):
+        assert interp.run(rep, symbols, init).arrays["A"].data == want, type(rep).__name__
 
 
 class TestSharedLoopLevels:

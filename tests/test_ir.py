@@ -203,6 +203,13 @@ class TestVerify:
         diags = verify_ir(AffineIrModule((), (), (), (outer,)))
         assert any("shadow" in d for d in diags)
 
+    @pytest.mark.parametrize("var, what", [("N", "a symbol"), ("A", "an array")])
+    def test_loop_var_named_like_symbol_or_array(self, var, what):
+        m0 = MapRef(AffineMap(0, 1, (Const(0),)), (), ("N",))
+        arr = fe.ArrayDecl("A", fe.FLOAT64, ("N",))
+        module = AffineIrModule(("N",), (arr,), (), (For(var, m0, m0, False, ()),))
+        assert verify_ir(module) == ["loop var %r shadows %s" % (var, what)]
+
     def test_out_of_scope_operand_diagnostic(self):
         m0 = AffineMap(0, 0, (Const(0),))
         m1 = AffineMap(1, 0, (DimRef(0),))

@@ -140,6 +140,39 @@ class TestSkew:
             skew(stencil(), (0, 1), -1)
 
 
+class TestTileSkewedBand:
+    """The tile box cuts the band's schedule rows: after skewing seidel-1d
+    to (t, t + i), the tiles are parallelograms in (t, i)."""
+
+    @pytest.mark.parametrize("pipe", [
+        lambda s: tile(s, TilingSpec((4, 4))),
+        lambda s: sub_bounding_box_tile(s, TilingSpec((4, 4))),
+        lambda s: wavefront_parallelize(tile(s, TilingSpec((4, 4)))),
+    ], ids=["tile", "subbb-tile", "tile+wavefront"])
+    def test_semantics_preserved(self, pipe):
+        prog = fe.parse_program(corpus.SEIDEL_1D.source)
+        scop = pipe(skew(build_scop(prog)[0], (1, 0), 1))
+        for n in range(5, 18):
+            symbols = {"T": n, "N": n}
+            init = corpus.init_arrays(prog, symbols, seed=n)
+            want = interp.run(prog, symbols, init).arrays["A"].data
+            assert interp.run(scop, symbols, init).arrays["A"].data == want, n
+
+    def test_wavefront_tile_loop_parallel(self):
+        # the `Scop` executor runs in schedule order, so the parallel mark
+        # is checked against the dependences instead
+        scop = skew(build_scop(fe.parse_program(corpus.SEIDEL_1D.source))[0], (1, 0), 1)
+        scop = wavefront_parallelize(tile(scop, TilingSpec((4, 4))))
+        assert is_loop_parallel(scop, compute_dependences(scop), 1)
+
+    def test_subbb_rejects_rows_changed_after_tiling(self):
+        # skewing a point row after `tile` leaves tiles that no longer
+        # partition the new row, so no box can be read off it
+        tiled = skew(tile(stencil(), TilingSpec((4, 4))), (3, 2), 1)
+        with pytest.raises(IllegalTilingError, match="differ from the rows it was tiled by"):
+            sub_bounding_box_tile(tiled, TilingSpec((4, 4)))
+
+
 class TestWavefront:
     @pytest.mark.parametrize("entry", [e for e in corpus.ALL if e.depth >= 2],
                              ids=lambda e: e.name)
@@ -262,7 +295,7 @@ class TestSubBoundingBox:
             sub_bounding_box_tile(tiled, TilingSpec((2, 2)))
         # the sizes are truncated to the band, as `tile` truncates them
         again = sub_bounding_box_tile(tiled, TilingSpec((9, 4, 4)))
-        assert again.tiling.sizes == (4, 4)
+        assert again.tile_sizes == (4, 4)
 
     def test_empty_scop_unchanged(self):
         scop = build_scop(fe.parse_program("int N;\n#pragma scop\n#pragma endscop\n"))[0]

@@ -7,9 +7,9 @@ checkout's `src/`) on every `tests/corpus.py` program, `TWO_NEST` and
 `JACOBI_2D` included, and on every `perfbench/programs/*.pc`.  Each program
 runs untransformed and under tile, tile+wavefront and subbb-tile at band
 depth min(2, d) and at its full loop depth d (tile size 4), with
-`--emit=affine|std|hls-c` and `--dump=scop|deps|bounds`.  Every stored
-`perfbench/air/*.air` module (read in place) runs with
-`--emit=affine|std|hls-c` and `--dump=bounds`.  Every `.pc` input and
+`--emit=affine|std|hls-c`, `--dump=scop|deps|bounds` and `--verify-each
+--emit=affine`.  Every stored `perfbench/air/*.air` module (read in place)
+runs with `--emit=affine|std|hls-c` and `--dump=bounds`.  Every `.pc` input and
 every stored module also runs once as `run --trace --dump-arrays`, with
 every symbol set to 5, non-zero arrays and `POLYHLS_SEED=1`, so the
 interpreter gets the same check as the emitters.  Each file holds the
@@ -35,7 +35,8 @@ import corpus  # noqa: E402
 
 TILE = 4
 EMITS = ("--emit=affine", "--emit=std", "--emit=hls-c")
-OUTPUTS = EMITS + ("--dump=scop", "--dump=deps", "--dump=bounds")
+OUTPUTS = EMITS + ("--dump=scop", "--dump=deps", "--dump=bounds",
+                   "--verify-each --emit=affine")
 AIR_OUTPUTS = EMITS + ("--dump=bounds",)
 RUN_SIZE = 5
 
@@ -90,8 +91,10 @@ def run_mode(outdir, name, path, obj):
 
 
 def case_name(prefix, output):
-    """File name of the case that runs `prefix`'s input with flag `output`."""
-    return "%s__%s.txt" % (prefix, output.lstrip("-").replace("=", "-"))
+    """File name of the case that runs `prefix`'s input with the flags
+    `output`."""
+    return "%s__%s.txt" % (prefix, "_".join(f.lstrip("-").replace("=", "-")
+                                            for f in output.split()))
 
 
 def main(argv):
@@ -110,7 +113,7 @@ def main(argv):
         for pname, flags in pipelines(source):
             for output in OUTPUTS:
                 case = case_name("%s__%s" % (name, pname), output)
-                run(os.path.join(outdir, case), [path] + flags + [output])
+                run(os.path.join(outdir, case), [path] + flags + output.split())
                 cases += 1
     for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
         name = "air-" + os.path.basename(path)[:-4]
@@ -118,7 +121,7 @@ def main(argv):
             run_mode(outdir, name, path, parse_ir(f.read()))
         cases += 1
         for output in AIR_OUTPUTS:
-            run(os.path.join(outdir, case_name(name, output)), [path, output])
+            run(os.path.join(outdir, case_name(name, output)), [path] + output.split())
             cases += 1
     print("%d cases written to %s" % (cases, outdir))
 
