@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import (
     ArityMismatchError,
@@ -389,43 +390,13 @@ class IntegerSet:
         searched exhaustively)."""
         if len(point) != self.num_dims or len(syms) != self.num_syms:
             raise ArityMismatchError("point/symbol arity mismatch")
-        fixed = self._substitute_prefix(point, syms)
-        if fixed is None:
-            return False
-        if fixed.num_exists == 0:
-            return all(not _is_false_row(r) for r in fixed.rows)
-        for _ in fixed._scan():
-            return True
-        return False
-
-    def _substitute_prefix(self, dim_values, sym_values):
-        """Fix all dims and symbols, keeping existentials; None if an
-        immediate contradiction appears."""
-        nd, ne, ns = self.num_dims, self.num_exists, self.num_syms
-        rows = []
-        for coeffs, is_eq in self.rows:
-            const = coeffs[-1]
-            const += sum(c * v for c, v in zip(coeffs[:nd], dim_values))
-            const += sum(c * v for c, v in zip(coeffs[nd + ne:nd + ne + ns], sym_values))
-            r = _norm_row(coeffs[nd:nd + ne] + (const,), is_eq)
-            if r is not None:
-                if _is_false_row(r):
-                    return None
-                rows.append(r)
-        return IntegerSet(0, ne, 0, _prune_rows(rows))
+        return next(_scan(_fold(self.rows, point, syms), self.num_exists), None) is not None
 
     def substitute_syms(self, sym_values):
         """Fold concrete symbol values into the constants."""
         if len(sym_values) != self.num_syms:
             raise ArityMismatchError("expected %d symbol values" % self.num_syms)
-        nd = self.num_dims + self.num_exists
-        rows = []
-        for coeffs, is_eq in self.rows:
-            const = coeffs[-1] + sum(c * v for c, v in zip(coeffs[nd:nd + self.num_syms], sym_values))
-            r = _norm_row(coeffs[:nd] + (const,), is_eq)
-            if r is not None:
-                rows.append(r)
-        return IntegerSet(self.num_dims, self.num_exists, 0, _prune_rows(rows))
+        return IntegerSet(self.num_dims, self.num_exists, 0, _fold(self.rows, (), sym_values))
 
     # -- enumeration (exact; requires no free symbols) ---------------------
 
@@ -436,14 +407,7 @@ class IntegerSet:
         s = self if sym_values is None else self.substitute_syms(tuple(sym_values))
         if s.num_syms != 0:
             raise ArityMismatchError("enumeration needs all symbols fixed")
-        return {p[:s.num_dims] for p in s._scan()}
-
-    def _scan(self):
-        n = self.num_dims + self.num_exists
-        rows = [r for r in self.rows]
-        if any(_is_false_row(r) for r in rows):
-            return
-        yield from _scan_rows(rows, n, ())
+        return {p[:s.num_dims] for p in _scan(s.rows, s.num_dims + s.num_exists)}
 
     # -- core operations ---------------------------------------------------
 
@@ -472,9 +436,7 @@ class IntegerSet:
         if any(_is_false_row(r) for r in rows):
             return True
         if self.num_syms == 0:
-            for _ in self._scan():
-                return False
-            return True
+            return next(_scan(rows, self.num_dims + self.num_exists), None) is None
         for col in range(self.num_dims + self.num_exists + self.num_syms):
             rows = _eliminate_col(rows, 0)
             if any(_is_false_row(r) for r in rows):
@@ -584,38 +546,57 @@ def _var_range(rows):
     return lo, hi
 
 
-def _scan_rows(rows, nvars, prefix):
+def _fold(rows, front, back):
+    """`rows` with their first ``len(front)`` and last ``len(back)``
+    variable columns fixed to those values: each fixed term folds into the
+    constant and its column is dropped.  The rows are normalized and
+    pruned; a contradiction stays as the false row."""
+    lo, out = len(front), []
+    for coeffs, is_eq in rows:
+        hi = len(coeffs) - 1 - len(back)
+        const = coeffs[-1] + sum(map(mul, coeffs, front)) + sum(map(mul, coeffs[hi:-1], back))
+        r = _norm_row(coeffs[lo:hi] + (const,), is_eq)
+        if r is not None:
+            out.append(r)
+    return _prune_rows(out)
+
+
+def _scan(rows, nvars):
+    """The integer points of `rows` over `nvars` variables (no symbols), in
+    lexicographic order.
+
+    The Fourier-Motzkin projection chain is built once: ``chain[k]`` holds
+    the rows over variables ``0..k``, made by eliminating columns from the
+    back.  Each variable's range is the rows of its link evaluated at the
+    current prefix.  The last link is `rows` itself, so the last variable's
+    range satisfies every row at the prefix and every point yielded is in
+    the set."""
+    if any(_is_false_row(r) for r in rows):
+        return
+    chain = [rows]
+    for col in range(nvars - 1, 0, -1):
+        chain.append(_eliminate_col(chain[-1], col))
+    chain.reverse()
+
+    def walk(k, prefix):
+        bounds = _var_range([((coeffs[k], coeffs[-1] + sum(map(mul, coeffs, prefix))), is_eq)
+                             for coeffs, is_eq in chain[k]])
+        if bounds is None:
+            return
+        lo, hi = bounds
+        if lo is None or hi is None:
+            raise UnboundedDimensionError("enumeration over an unbounded set")
+        if k == nvars - 1:
+            for v in range(lo, hi + 1):
+                yield prefix + (v,)
+        else:
+            for v in range(lo, hi + 1):
+                yield from walk(k + 1, prefix + (v,))
+
     if nvars == 0:
-        for coeffs, is_eq in rows:
-            if _is_false_row((coeffs, is_eq)):
-                return
-        yield prefix
-        return
-    rem = rows
-    for _ in range(nvars - 1):
-        if not rem:
-            break
-        rem = _eliminate_col(rem, len(rem[0][0]) - 2)
-    bounds = _var_range(rem)
-    if bounds is None:
-        return
-    lo, hi = bounds
-    if lo is None or hi is None:
-        raise UnboundedDimensionError("enumeration over an unbounded set")
-    for v in range(lo, hi + 1):
-        sub = []
-        ok = True
-        for coeffs, is_eq in rows:
-            nc = (coeffs[1:-1]) + (coeffs[-1] + coeffs[0] * v,)
-            r = _norm_row(nc, is_eq)
-            if r is None:
-                continue
-            if _is_false_row(r):
-                ok = False
-                break
-            sub.append(r)
-        if ok:
-            yield from _scan_rows(sub, nvars - 1, prefix + (v,))
+        yield ()
+    else:
+        yield from walk(0, ())
 
 
 class _LinBuilder:
@@ -692,10 +673,6 @@ class AffineMap:
         object.__setattr__(self, "results", tuple(_as_expr(r) for r in self.results))
         for r in self.results:
             r.check_range(self.num_dims, self.num_syms)
-
-    @staticmethod
-    def identity(n, num_syms=0):
-        return AffineMap(n, num_syms, tuple(DimRef(i) for i in range(n)))
 
     def eval(self, dims=(), syms=()):
         if len(dims) != self.num_dims or len(syms) < self.num_syms:

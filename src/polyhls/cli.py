@@ -228,7 +228,7 @@ def _compile_pc(opts, prog, out):
                          % (emit, len(scops)))
     results, verified = [], []
     for scop in scops:
-        ref = _verify_snapshot(scop) if opts["verify_each"] else None
+        ref = _verify_snapshot(scop) if opts["verify_each"] and opts["passes"] else None
         module = None  # the module of the last verified pass
         for name, arg in opts["passes"]:
             scop = _apply_pass(scop, name, arg)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyhls import affine
 from polyhls.affine import (
     EQ,
     INEQ,
@@ -268,6 +269,79 @@ class TestEnumerationAgreesWithMembership:
         for i in range(-5, 6):
             for j in range(-5, 6):
                 assert ((i, j) in pts) == s.contains((i, j))
+
+
+_small = st.integers(-2, 2)
+_small_forms = st.builds(lambda a, b, c, k: DimRef(0) * a + DimRef(1) * b + SymRef(0) * c + k,
+                         _small, _small, _small, st.integers(-3, 3))
+# a small linear form, maybe with one floordiv or mod atom (== 0)
+_equalities = st.builds(lambda e, atoms: sum(atoms, e), _small_forms,
+                        st.lists(st.builds(lambda div, op, b, coef: div(op, b) * coef,
+                                           st.sampled_from([floordiv, mod]), _linear_forms,
+                                           st.integers(1, 3), _small), max_size=1))
+# a linear form plus one floordiv or mod atom of an operand that reads d0
+# (>= 0), so the set has at least one existential
+_div_inequalities = st.builds(lambda e, div, a, b, k, m, coef: e + div(DimRef(0) * a + DimRef(1) * b + k, m) * coef,
+                              _linear_forms, st.sampled_from([floordiv, mod]),
+                              st.integers(1, 3), _small, st.integers(-3, 3),
+                              st.integers(2, 5), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+_WINDOW = range(-4, 5)
+
+
+class TestScanAgainstBruteForce:
+    """`points` and `contains` share the scanner; the oracle here is a
+    filter of a window of points through `eval_expr` alone."""
+
+    @given(_equalities, _div_inequalities, st.lists(_forms, max_size=2), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_points_and_contains_match_filter(self, eq, ineq, more, sym):
+        cons = [(DimRef(0) + 4, INEQ), (4 - DimRef(0), INEQ),
+                (DimRef(1) + 4, INEQ), (4 - DimRef(1), INEQ),
+                (eq, EQ), (ineq, INEQ)] + [(f, INEQ) for f in more]
+        s = IntegerSet.from_constraints(2, 1, cons)
+        assert s.num_exists >= 1
+        want = {(i, j) for i in _WINDOW for j in _WINDOW
+                if all(eval_expr(e, (i, j), (sym,)) == 0 if kind == EQ
+                       else eval_expr(e, (i, j), (sym,)) >= 0 for e, kind in cons)}
+        assert s.points((sym,)) == want
+        for i in range(-5, 6):
+            for j in range(-5, 6):
+                assert s.contains((i, j), (sym,)) == ((i, j) in want)
+
+
+class TestScan:
+    def test_eliminates_once_per_set(self, monkeypatch):
+        # 0 <= d_k < N: the projection chain does not depend on N
+        cons = []
+        for k in range(3):
+            cons += [(DimRef(k), INEQ), (SymRef(0) - DimRef(k) - 1, INEQ)]
+        s = IntegerSet.from_constraints(3, 1, cons)
+        real = affine._eliminate_col
+        counts = []
+        for n in (4, 8):
+            calls = []
+
+            def counted(rows, col):
+                calls.append(col)
+                return real(rows, col)
+
+            monkeypatch.setattr(affine, "_eliminate_col", counted)
+            assert len(s.points((n,))) == n ** 3
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= s.num_dims - 1
+
+    def test_unbounded_dim_raises(self):
+        s = IntegerSet.from_constraints(2, 0, [(DimRef(0), INEQ), (3 - DimRef(0), INEQ),
+                                               (DimRef(1) - DimRef(0), INEQ)])
+        with pytest.raises(UnboundedDimensionError):
+            s.points()
+
+    def test_unbounded_existential_raises(self):
+        s = parse_set("integer_set<(d0) exists (e0) : (d0 >= 0, 3 - d0 >= 0, e0 - d0 >= 0)>")
+        with pytest.raises(UnboundedDimensionError):
+            s.contains((1,))
+        with pytest.raises(UnboundedDimensionError):
+            s.points()
 
 
 class TestSetSyntax:

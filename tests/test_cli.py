@@ -101,6 +101,20 @@ class TestCompile:
         assert code == 0 and "affine.parallel_for" in out
         assert len(calls) == 2
 
+    def test_verify_each_without_passes_runs_nothing(self, pc_file, capsys, monkeypatch):
+        # no pass, so no snapshot to compare against
+        calls = []
+        real = cli.interp.run
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli.interp, "run", counted)
+        code, out, _ = run_cli(capsys, pc_file, "--verify-each", "--emit=affine")
+        assert code == 0 and "module {" in out
+        assert calls == []
+
     def test_dump_bounds_reuses_module(self, pc_file, capsys, monkeypatch):
         calls = []
         real = cli.generate_loops
