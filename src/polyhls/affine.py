@@ -396,7 +396,9 @@ class IntegerSet:
         """Fold concrete symbol values into the constants."""
         if len(sym_values) != self.num_syms:
             raise ArityMismatchError("expected %d symbol values" % self.num_syms)
-        return IntegerSet(self.num_dims, self.num_exists, 0, _fold(self.rows, (), sym_values))
+        rows = (_norm_row(*r) for r in _fold(self.rows, (), sym_values))
+        return IntegerSet(self.num_dims, self.num_exists, 0,
+                          _prune_rows(r for r in rows if r is not None))
 
     # -- enumeration (exact; requires no free symbols) ---------------------
 
@@ -549,16 +551,14 @@ def _var_range(rows):
 def _fold(rows, front, back):
     """`rows` with their first ``len(front)`` and last ``len(back)``
     variable columns fixed to those values: each fixed term folds into the
-    constant and its column is dropped.  The rows are normalized and
-    pruned; a contradiction stays as the false row."""
+    constant and its column is dropped.  The rows are neither normalized
+    nor pruned, which a membership test does not need."""
     lo, out = len(front), []
     for coeffs, is_eq in rows:
         hi = len(coeffs) - 1 - len(back)
         const = coeffs[-1] + sum(map(mul, coeffs, front)) + sum(map(mul, coeffs[hi:-1], back))
-        r = _norm_row(coeffs[lo:hi] + (const,), is_eq)
-        if r is not None:
-            out.append(r)
-    return _prune_rows(out)
+        out.append((coeffs[lo:hi] + (const,), is_eq))
+    return out
 
 
 def _scan(rows, nvars):

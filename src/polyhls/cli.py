@@ -51,13 +51,25 @@ class _UserError(Exception):
     pass
 
 
-def _parse_sizes(text, flag):
+# pass name -> (its argument as the usage shows it: "" for a bare flag,
+# "..." at the end for one or more ints; the pass)
+_PASSES = {
+    "tile": ("S1,...", lambda scop, sizes: tile(scop, TilingSpec(sizes))),
+    "skew": ("A,B,F", lambda scop, abf: skew(scop, abf[:2], abf[2])),
+    "wavefront": ("", lambda scop, _: wavefront_parallelize(scop)),
+    "subbb-tile": ("S1,...", lambda scop, sizes: sub_bounding_box_tile(scop, TilingSpec(sizes))),
+}
+
+
+def _pass_values(name, text):
+    """The comma-separated ints `text` of pass `name`'s argument."""
+    arg = _PASSES[name][0]
     try:
         vals = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise _UserError("bad %s argument %r" % (flag, text))
-    if not vals:
-        raise _UserError("%s needs at least one size" % flag)
+        raise _UserError("bad -%s argument %r" % (name, text))
+    if not arg.endswith("...") and len(vals) != len(arg.split(",")):
+        raise _UserError("-%s needs %s" % (name, arg))
     return vals
 
 
@@ -74,17 +86,9 @@ def _parse_args(argv):
         i = 1
     while i < len(argv):
         a = argv[i]
-        if a.startswith("-tile="):
-            opts["passes"].append(("tile", _parse_sizes(a[6:], "-tile")))
-        elif a.startswith("-subbb-tile="):
-            opts["passes"].append(("subbb-tile", _parse_sizes(a[12:], "-subbb-tile")))
-        elif a.startswith("-skew="):
-            vals = _parse_sizes(a[6:], "-skew")
-            if len(vals) != 3:
-                raise _UserError("-skew needs A,B,F")
-            opts["passes"].append(("skew", vals))
-        elif a == "-wavefront":
-            opts["passes"].append(("wavefront", None))
+        name, eq, text = a[1:].partition("=")
+        if a.startswith("-") and name in _PASSES and bool(eq) == bool(_PASSES[name][0]):
+            opts["passes"].append((name, _pass_values(name, text) if eq else None))
         elif a.startswith("--emit="):
             opts["emit"] = a[7:]
         elif a.startswith("--dump="):
@@ -129,17 +133,6 @@ def _parse_module(text):
     return module
 
 
-def _apply_pass(scop, name, arg):
-    if name == "tile":
-        return tile(scop, TilingSpec(arg))
-    if name == "skew":
-        a, b, f = arg
-        return skew(scop, (a, b), f)
-    if name == "wavefront":
-        return wavefront_parallelize(scop)
-    return sub_bounding_box_tile(scop, TilingSpec(arg))
-
-
 def _verify_snapshot(scop):
     """Small fixed-size interpreter state for `--verify-each`."""
     symbols = {s: 5 for s in scop.symbols}
@@ -152,10 +145,10 @@ def _verify_snapshot(scop):
 
 
 def _verify_each(scop, passname, ref):
-    """Check the Affine IR of `scop` and run it and `scop` against `ref`;
-    returns the (unsimplified) module."""
+    """Check the Affine IR of `scop`, simplified as it is emitted, and run
+    it and `scop` against `ref`; returns the module."""
     symbols, init, want = ref
-    module = generate_loops(scop)
+    module = simplify_bounds(generate_loops(scop))
     diags = verify_ir(module)
     if diags:
         raise VerificationError("after %s: verify_ir: %s" % (passname, "; ".join(diags)))
@@ -231,14 +224,14 @@ def _compile_pc(opts, prog, out):
         ref = _verify_snapshot(scop) if opts["verify_each"] and opts["passes"] else None
         module = None  # the module of the last verified pass
         for name, arg in opts["passes"]:
-            scop = _apply_pass(scop, name, arg)
+            scop = _PASSES[name][1](scop, arg)
             if ref is not None:
                 module = _verify_each(scop, name, ref)
         results.append(scop)
         verified.append(module)
     modules = None
     if "bounds" in opts["dumps"] or emit in _MODULE_EMITS:
-        modules = [simplify_bounds(m or generate_loops(scop))
+        modules = [m or simplify_bounds(generate_loops(scop))
                    for m, scop in zip(verified, results)]
     for d in opts["dumps"]:
         for k, scop in enumerate(results):

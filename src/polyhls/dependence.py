@@ -36,32 +36,18 @@ class Dependence:
             self.source, self.target, self.kind, d, format_set(self.relation))
 
 
-def _pair_relation(scop, sp, sq, acc_p, acc_q, level):
-    """Constraint set over (p dims ++ q dims): both domains, equal accessed
-    cell, schedules equal before `level` and strictly ordered at it."""
-    dp, dq = sp.domain.num_dims, sq.domain.num_dims
-    ns = len(scop.symbols)
-    base_p = sp.domain.insert_dims(dp, dq)
-    base_q = sq.domain.insert_dims(0, dp)
-    rel = base_p.intersect(base_q)
-    cons = []
-    for ep, eq_ in zip(acc_p.results, acc_q.results):
-        cons.append((ep - eq_.insert_dims(0, dp), EQ))
-    for lvl in range(level):
-        cons.append((time_difference(sp, sq, lvl), EQ))
-    cons.append((time_difference(sp, sq, level) - 1, INEQ))
-    order = IntegerSet.from_constraints(dp + dq, ns, cons)
-    ctx = scop.context.insert_dims(0, dp + dq)
-    return rel.intersect(order).intersect(ctx)
-
-
 def relations(scop):
     """Yield (source stmt, target stmt, kind, level, relation) for every
     non-empty relation: per statement pair and access pair (flow and
     output per write, then anti), split by the time level that carries it.
 
-    The emptiness test never drops a real dependence (it may keep a
-    spurious one when symbols stay free)."""
+    A relation is over (p dims ++ q dims).  Both domains and the context
+    are intersected once per statement pair and the equal accessed cell
+    once per access pair; the relation carried at level k adds the equal
+    schedules before k and the strict order at k.  The emptiness test
+    never drops a real dependence (it may keep a spurious one when
+    symbols stay free)."""
+    ns = len(scop.symbols)
     for sp in scop.statements:
         for sq in scop.statements:
             pairs = []
@@ -76,11 +62,24 @@ def relations(scop):
                 for arr2, wq in sq.writes:
                     if arr == arr2:
                         pairs.append((ANTI, rp, wq))
+            if not pairs:
+                continue
+            dp, dq = sp.domain.num_dims, sq.domain.num_dims
+            both = sp.domain.insert_dims(dp, dq).intersect(sq.domain.insert_dims(0, dp)).intersect(
+                scop.context.insert_dims(0, dp + dq))
+            order = []  # per level: (strictly ordered at it, equal at it)
+            for lvl in range(scop.time_depth):
+                diff = time_difference(sp, sq, lvl)
+                order.append((IntegerSet.from_constraints(dp + dq, ns, [(diff - 1, INEQ)]),
+                              IntegerSet.from_constraints(dp + dq, ns, [(diff, EQ)])))
             for kind, ap, aq in pairs:
-                for level in range(scop.time_depth):
-                    rel = _pair_relation(scop, sp, sq, ap, aq, level)
+                prefix = both.intersect(IntegerSet.from_constraints(dp + dq, ns, [
+                    (ep - eq_.insert_dims(0, dp), EQ) for ep, eq_ in zip(ap.results, aq.results)]))
+                for level, (strict, equal) in enumerate(order):
+                    rel = prefix.intersect(strict)
                     if not rel.is_empty():
                         yield sp, sq, kind, level, rel
+                    prefix = prefix.intersect(equal)
 
 
 def time_difference(sp, sq, level):

@@ -27,28 +27,42 @@ class TilingSpec:
         self.sizes = sizes
 
 
-def _violation(rel, expr):
-    """The part of `rel` where `expr >= 0`."""
-    return rel.intersect(IntegerSet.from_constraints(
-        rel.num_dims, rel.num_syms, [(expr, INEQ)]))
+def _first_violation(rels, rows):
+    """The first (source, target, kind, time level, violating set) of the
+    relations `rels` on which a row's difference can fall below its
+    minimum, or None.  ``rows(sp, sq, carried_level)`` lists the
+    (time level, difference, minimum) rows that one relation must meet."""
+    for sp, sq, kind, level, rel in rels:
+        for lvl, diff, least in rows(sp, sq, level):
+            # infeasibility of diff <= least - 1 proves diff >= least
+            test = rel.intersect(IntegerSet.from_constraints(
+                rel.num_dims, rel.num_syms, [(least - 1 - diff, INEQ)]))
+            if not test.is_empty():
+                return sp, sq, kind, lvl, test
+    return None
 
 
 def _instance(s, vals):
     return "%s(%s)" % (s.name, ", ".join("%s=%d" % nv for nv in zip(s.dim_names, vals)))
 
 
-def _witness(scop, sp, sq, kind, test):
-    """`kind S1(i=..) -> S2(i=..) at N=..`: the first point of `test` at
-    the first value 1..8, bound to every symbol, that has one."""
+def _rejection(scop, message, found):
+    """The IllegalTilingError of a `_first_violation` result: `message` %
+    (source, target, time level, witness).  The witness, ``kind
+    S1(i=..) -> S2(i=..) at N=..``, is the first point of the violating set
+    at the first value 1..8, bound to every symbol, that has one."""
+    sp, sq, kind, lvl, test = found
     dp = sp.domain.num_dims
+    witness = "%s, with no point at symbol values 1 to 8" % kind
     for n in range(1, 9):
         pts = test.points((n,) * len(scop.symbols))
         if pts:
             p = min(pts)  # lexicographic minimum: the first point scanned
             at = ", ".join("%s=%d" % (name, n) for name in scop.symbols)
-            return "%s %s -> %s%s" % (kind, _instance(sp, p[:dp]), _instance(sq, p[dp:]),
-                                      " at " + at if at else "")
-    return "%s, with no point at symbol values 1 to 8" % kind
+            witness = "%s %s -> %s%s" % (kind, _instance(sp, p[:dp]), _instance(sq, p[dp:]),
+                                         " at " + at if at else "")
+            break
+    return IllegalTilingError(message % (sp.name, sq.name, lvl, witness))
 
 
 def _tile_box(sched, band_levels, sizes):
@@ -63,32 +77,20 @@ def _tile_box(sched, band_levels, sizes):
     return IntegerSet.from_constraints(sched.num_dims, sched.num_syms, cons)
 
 
-def _check_band_permutable(scop, band_levels):
-    """Every dependence must have provably non-negative time difference at
-    each band level; the first violation raises, naming a witness.
-
-    That includes the dependences carried before the band: `tile` puts the
-    tile loops above every original schedule level, outer loops and
-    statement sequence included, so a dependence carried there is ordered
-    first by the tile indices and stays respected only if they do not
-    decrease along it."""
-    for sp, sq, kind, _, rel in relations(scop):
-        for lvl in band_levels:
-            # infeasibility of diff <= -1 proves diff >= 0 everywhere
-            test = _violation(rel, -time_difference(sp, sq, lvl) - 1)
-            if not test.is_empty():
-                raise IllegalTilingError(
-                    "band is not permutable: dependence %s -> %s may be negative "
-                    "at time level %d: %s" % (sp.name, sq.name, lvl,
-                                               _witness(scop, sp, sq, kind, test)))
-
-
 def tile(scop, spec):
     """Rectangular tiling of the innermost band of len(spec.sizes) loops.
 
     Adds one tile dim per band level (outermost in the domain and the
     schedule) that cuts the level's schedule row into size-s slices;
     point semantics of each domain are unchanged.
+
+    The band must be permutable: every dependence must have a provably
+    non-negative time difference at each band level, else the first
+    violation raises, naming a witness.  That includes the dependences
+    carried before the band: the tile loops go above every original
+    schedule level, outer loops and statement sequence included, so a
+    dependence carried there is ordered first by the tile indices and
+    stays respected only if they do not decrease along it.
     """
     if not scop.statements:
         return scop
@@ -99,7 +101,11 @@ def tile(scop, spec):
     sizes = spec.sizes[-depth:] if len(spec.sizes) > depth else spec.sizes
     m = len(sizes)
     band_levels = scop.loop_levels()[-m:]
-    _check_band_permutable(scop, band_levels)
+    found = _first_violation(relations(scop), lambda sp, sq, _: [
+        (lvl, time_difference(sp, sq, lvl), 0) for lvl in band_levels])
+    if found:
+        raise _rejection(scop, "band is not permutable: dependence %s -> %s may be negative "
+                         "at time level %d: %s", found)
 
     prefix = []
     for k in range(m):
@@ -132,17 +138,14 @@ def skew(scop, dims, factor):
     if factor == 0:
         return scop
     la, lb = loop_levels[a], loop_levels[b]
-    # a dependence carried at la must stay carried there (new difference
-    # >= 1); one carried deeper must not turn negative at la (>= 0)
-    for sp, sq, kind, level, rel in relations(scop):
-        if level < la:
-            continue
-        diff = time_difference(sp, sq, la) + time_difference(sp, sq, lb) * factor
-        test = _violation(rel, -diff - (0 if level == la else 1))
-        if not test.is_empty():
-            raise IllegalTilingError(
-                "skew reverses dependence %s -> %s at time level %d: %s"
-                % (sp.name, sq.name, la, _witness(scop, sp, sq, kind, test)))
+    # a dependence carried above la stays carried there; one carried at la
+    # must stay carried there (new difference >= 1); one carried deeper
+    # must not turn negative at la (>= 0)
+    found = _first_violation(relations(scop), lambda sp, sq, level: [
+        (la, time_difference(sp, sq, la) + time_difference(sp, sq, lb) * factor,
+         1 if level == la else 0)] if level >= la else [])
+    if found:
+        raise _rejection(scop, "skew reverses dependence %s -> %s at time level %d: %s", found)
     new_stmts = []
     for s in scop.statements:
         res = list(s.schedule.results)

@@ -227,6 +227,34 @@ def test_criterion_7_directive_rules():
                   "constant trip within the policy limit (3 cases)")
 
 
+def _build_c(tmp_path, name, p):
+    """Path of the executable that cc builds from the HLS C of `p`."""
+    cfile = tmp_path / (name + ".c")
+    cfile.write_text(hls.emit_c(p))
+    exe = str(tmp_path / name)
+    subprocess.run(["cc", "-std=c99", "-O1", "-o", exe, str(cfile)], check=True)
+    return exe
+
+
+def _c_mismatches(exe, p, n, init):
+    """Names of the output arrays on which `exe`, built from `p`, differs
+    bit for bit from `interp.run` of `p`, with every symbol at `n`."""
+    want = interp.run(p, {s: n for s in p.symbols}, init)
+    kinds = dict(p.transfers)
+    stdin = [repr(v) for a in p.arrays if kinds[a.name] in ("in", "inout")
+             for v in init[a.name]]
+    r = subprocess.run([exe] + [str(n)] * len(p.symbols), input="\n".join(stdin),
+                       capture_output=True, text=True, check=True)
+    toks = iter(r.stdout.split())
+    bad = []
+    for a in p.arrays:
+        if kinds[a.name] in ("out", "inout"):
+            conv = int if a.elem == fe.INT64 else float.fromhex
+            if [conv(next(toks)) for _ in want.arrays[a.name].data] != want.arrays[a.name].data:
+                bad.append(a.name)
+    return bad
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 def test_criterion_8_external_differential_execution(tmp_path):
     n = 8
@@ -237,26 +265,29 @@ def test_criterion_8_external_differential_execution(tmp_path):
         module = simplify_bounds(generate_loops(scop))
         p = hls.insert_directives(hls.partition(module, scop.name))
         init = corpus.init_arrays(prog, {s: n for s in prog.symbols}, seed=n)
-        want = interp.run(p, {s: n for s in prog.symbols}, init)
-        cfile = tmp_path / (entry.name + ".c")
-        cfile.write_text(hls.emit_c(p))
-        exe = str(tmp_path / entry.name)
-        subprocess.run(["cc", "-std=c99", "-O1", "-o", exe, str(cfile)], check=True)
-        kinds = dict(p.transfers)
-        stdin = []
-        for a in p.arrays:
-            if kinds[a.name] in ("in", "inout"):
-                stdin.extend(repr(v) for v in init[a.name])
-        r = subprocess.run([exe] + [str(n)] * len(p.symbols),
-                           input="\n".join(stdin), capture_output=True,
-                           text=True, check=True)
-        toks = iter(r.stdout.split())
-        for a in p.arrays:
-            if kinds[a.name] in ("out", "inout"):
-                conv = int if a.elem == fe.INT64 else float.fromhex
-                got = [conv(next(toks)) for _ in want.arrays[a.name].data]
-                if got != want.arrays[a.name].data:
-                    ok = False
-                    print("mismatch:", entry.name, a.name)
+        for name in _c_mismatches(_build_c(tmp_path, entry.name, p), p, n, init):
+            ok = False
+            print("mismatch:", entry.name, name)
     report(ok, 8, "emitted HLS C compiled with cc matches the interpreter "
                   "bit-for-bit on the corpus at N=8")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+def test_transformed_c_matches_interpreter(tmp_path):
+    # criterion 8 under criterion 4's transformed pipelines, at N below the
+    # tile size 4, not a multiple of it, and giving two tiles or more
+    checked, bad = 0, []
+    for entry in corpus.ALL:
+        prog = fe.parse_program(entry.source)
+        for pname, pipe in _PIPELINES[1:]:
+            if pname == "tile+wavefront" and entry.depth < 2:
+                continue
+            scop = pipe(build_scop(prog)[0], entry.depth)
+            p = hls.insert_directives(hls.partition(simplify_bounds(generate_loops(scop)),
+                                                    scop.name))
+            exe = _build_c(tmp_path, "%s-%s" % (entry.name, pname), p)
+            for n in (3, 6, 9):
+                init = corpus.init_arrays(prog, {s: n for s in prog.symbols}, seed=n)
+                bad += [(entry.name, pname, n, name) for name in _c_mismatches(exe, p, n, init)]
+                checked += 1
+    assert bad == [] and checked == 3 * sum(2 + (e.depth >= 2) for e in corpus.ALL)

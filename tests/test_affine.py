@@ -1,5 +1,7 @@
 """Tests for the integer affine algebra core."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -329,6 +331,24 @@ class TestScan:
             assert len(s.points((n,))) == n ** 3
             counts.append(len(calls))
         assert counts[0] == counts[1] <= s.num_dims - 1
+
+    def test_contains_only_folds(self, monkeypatch):
+        # without existentials a membership test reads each folded constant;
+        # it normalizes and prunes nothing
+        s = parse_set("integer_set<(d0, d1)[s0] : "
+                      "(-d1 + s0 - 1 >= 0, d1 >= 0, d0 * 2 - d1 == 0)>")
+        calls = []
+
+        def counted(real):
+            def wrapper(*args):
+                calls.append(real.__name__)
+                return real(*args)
+            return wrapper
+
+        for name in ("_norm_row", "_prune_rows"):
+            monkeypatch.setattr(affine, name, counted(getattr(affine, name)))
+        inside = [p for p in itertools.product(range(-2, 6), repeat=2) if s.contains(p, (5,))]
+        assert inside == [(0, 0), (1, 2), (2, 4)] and calls == []
 
     def test_unbounded_dim_raises(self):
         s = IntegerSet.from_constraints(2, 0, [(DimRef(0), INEQ), (3 - DimRef(0), INEQ),

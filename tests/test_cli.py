@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from polyhls import cli, transforms
+from polyhls import cli, ir, transforms
 
 import corpus
 
@@ -169,6 +169,31 @@ class TestErrors:
         code, _, err = run_cli(capsys, str(f), "-tile=4", "--verify-each", "--emit=affine")
         assert code == 1
         assert "error: after tile: interpreter mismatch at N=5" in err
+
+    def test_verify_each_checks_the_emitted_module(self, pc_file, capsys, monkeypatch):
+        # a simplifier that drops the last iteration of every loop: the
+        # module it returns is the one emitted, so it must be the one checked
+        real = cli.simplify_bounds
+
+        def shrink(ops):
+            out = []
+            for op in ops:
+                if isinstance(op, ir.For):
+                    ub = replace(op.ub.map, results=tuple(r - 1 for r in op.ub.map.results))
+                    op = replace(op, ub=replace(op.ub, map=ub), body=shrink(op.body))
+                elif isinstance(op, ir.If):
+                    op = replace(op, then=shrink(op.then), els=shrink(op.els))
+                out.append(op)
+            return tuple(out)
+
+        def broken(module):
+            module = real(module)
+            return replace(module, body=shrink(module.body))
+
+        monkeypatch.setattr(cli, "simplify_bounds", broken)
+        code, out, err = run_cli(capsys, pc_file, "-tile=4,4", "--verify-each", "--emit=affine")
+        assert code == 1 and out == ""
+        assert err == "poly-hls: error: after tile: interpreter mismatch at N=5\n"
 
     def test_illegal_tiling_of_two_nests_is_user_error(self, capsys, tmp_path):
         f = tmp_path / "two_nest.pc"

@@ -10,9 +10,18 @@ from polyhls import frontend as fe, hls, interp
 from polyhls.codegen import generate_loops, simplify_bounds
 from polyhls.ir import parse_ir
 from polyhls.scop import build_scop
-from polyhls.transforms import TilingSpec, tile, wavefront_parallelize
+from polyhls.transforms import TilingSpec, sub_bounding_box_tile, tile, wavefront_parallelize
 
 import corpus
+
+
+# a parallel loop of constant trip count 4, the case that gets unrolled
+CONST_TRIP_LOOP = ("#map0 = affine_map<() -> (0)>\n"
+                   "#map1 = affine_map<() -> (4)>\n"
+                   "module {\n  symbol N\n  array A : float64 [N]\n"
+                   "  stmt S1(i) { A[i] = A[i] + 1.0; }\n"
+                   "  affine.parallel_for i = max #map0() to min #map1() {\n"
+                   "    call @S1(i)\n  }\n}\n")
 
 
 def module_for(entry, pipeline="none"):
@@ -96,25 +105,13 @@ class TestDirectives:
         assert inner.pipeline and not inner.parallel
 
     def test_constant_parallel_loop_unrolled(self):
-        text = ("#map0 = affine_map<() -> (0)>\n"
-                "#map1 = affine_map<() -> (4)>\n"
-                "module {\n  symbol N\n  array A : float64 [N]\n"
-                "  stmt S1(i) { A[i] = A[i] + 1.0; }\n"
-                "  affine.parallel_for i = max #map0() to min #map1() {\n"
-                "    call @S1(i)\n  }\n}\n")
-        p = hls.insert_directives(hls.partition(parse_ir(text)))
+        p = hls.insert_directives(hls.partition(parse_ir(CONST_TRIP_LOOP)))
         assert p.kernel[0].unroll == 4
         assert p.kernel[0].pipeline  # also innermost
 
     def test_unroll_limit_respected(self):
         # printed upper bounds are exclusive: map result 4 -> trip count 4
-        text = ("#map0 = affine_map<() -> (0)>\n"
-                "#map1 = affine_map<() -> (4)>\n"
-                "module {\n  symbol N\n  array A : float64 [N]\n"
-                "  stmt S1(i) { A[i] = A[i] + 1.0; }\n"
-                "  affine.parallel_for i = max #map0() to min #map1() {\n"
-                "    call @S1(i)\n  }\n}\n")
-        p = hls.partition(parse_ir(text))
+        p = hls.partition(parse_ir(CONST_TRIP_LOOP))
         assert hls.insert_directives(p, hls.DirectivePolicy(unroll_limit=2)) \
             .kernel[0].unroll is None
         assert hls.insert_directives(p, hls.DirectivePolicy(unroll_limit=4)) \
@@ -150,6 +147,24 @@ class TestEmitC:
         scop, m = module_for(corpus.MATMUL, "tile")
         p = hls.insert_directives(hls.partition(m, scop.name))
         assert hls.emit_c(p) == hls.emit_c(p)
+
+
+class TestPrintStd:
+    def test_flags_and_guards(self):
+        scop = build_scop(fe.parse_program(corpus.STENCIL2D.source))[0]
+        scop = wavefront_parallelize(sub_bounding_box_tile(scop, TilingSpec((4, 4))))
+        p = hls.insert_directives(hls.partition(simplify_bounds(generate_loops(scop)), scop.name))
+        lines = hls.print_std(p).splitlines()
+        assert "transfer inout A" in lines
+        assert "  for parallel tj = maxll(0, ceild(t1 * 4 - N + 1, 4)) to " \
+               "minll(floord(N - 1, 4), t1) {" in lines
+        assert "      for pipeline j = tj * 4 to tj * 4 + 3 {" in lines
+        assert "        if i * (-1) + N - 1 >= 0 && j * (-1) + N - 1 >= 0 && j - 1 >= 0 " \
+               "&& i - 1 >= 0 {" in lines
+
+    def test_unroll_flag(self):
+        p = hls.insert_directives(hls.partition(parse_ir(CONST_TRIP_LOOP)))
+        assert "for parallel pipeline unroll=4 i = 0 to 3 {" in hls.print_std(p).splitlines()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
@@ -190,6 +205,15 @@ class TestDifferentialExecution:
         toks = self.compile_and_run(hls.emit_c(p), [str(n)], data, tmp_path)
         assert [int(t) for t in toks] == want
         assert want[0] == 6  # i = -2 executed: floord rounded toward -inf
+
+    def test_unrolled_loop_bit_exact(self, tmp_path):
+        p = hls.insert_directives(hls.partition(parse_ir(CONST_TRIP_LOOP)))
+        text = hls.emit_c(p)
+        assert "#pragma HLS unroll factor=4" in text
+        init = [0.25 * k for k in range(6)]
+        want = interp.run(p, {"N": 6}, {"A": init}).arrays["A"].data
+        toks = self.compile_and_run(text, ["6"], "\n".join(map(repr, init)), tmp_path)
+        assert [float.fromhex(t) for t in toks] == want
 
     def test_right_nested_float_sum_bit_exact(self, tmp_path):
         # float + does not associate: B + (C + D) is 0.0, (B + C) + D is 1.0

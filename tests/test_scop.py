@@ -2,9 +2,10 @@
 
 import pytest
 
-from polyhls import frontend as fe
+from polyhls import frontend as fe, interp
 from polyhls.affine import AffineMap, Const, DimRef, eval_expr, format_map
-from polyhls.errors import NonAffineError, ParseError
+from polyhls.codegen import generate_loops
+from polyhls.errors import CodegenError, NonAffineError, ParseError
 from polyhls.scop import build_scop, dump_scop
 
 import corpus
@@ -59,6 +60,35 @@ class TestExtract:
                "#pragma scop\nfor (i = 0; i < N; i++) { A[i] = 1; }\n#pragma endscop\n")
         scops = build_scop(fe.parse_program(src))
         assert [s.name for s in scops] == ["scop0", "scop1"]
+
+
+def _if_else_program(op):
+    return fe.parse_program(
+        "int N;\nfloat A[N][N];\nfloat B[N][N];\n#pragma scop\n"
+        "for (i = 0; i < N; i++) {\n  for (j = 0; j < N; j++) {\n"
+        "    if (i %s j + 1) {\n      A[i][j] = A[i][j] + B[i][j];\n"
+        "    } else {\n      B[i][j] = B[i][j] * 2.0 + A[i][j];\n    }\n"
+        "  }\n}\n#pragma endscop\n" % op)
+
+
+class TestIfElse:
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_branches_match_source(self, op):
+        # the then-branch takes the comparison, the else-branch its negation
+        prog = _if_else_program(op)
+        scop = build_scop(prog)[0]
+        for n in (1, 2, 5, 8):
+            init = corpus.init_arrays(prog, {"N": n}, seed=n)
+            want = interp.run(prog, {"N": n}, init).arrays
+            got = interp.run(scop, {"N": n}, init).arrays
+            assert {k: a.data for k, a in got.items()} == {k: a.data for k, a in want.items()}
+        # the two statements' domains differ at a shared loop level
+        with pytest.raises(CodegenError):
+            generate_loops(scop)
+
+    def test_else_of_equality_rejected(self):
+        with pytest.raises(NonAffineError, match="else-branch of an equality test"):
+            build_scop(_if_else_program("=="))
 
 
 class TestOriginalSchedule:

@@ -139,6 +139,17 @@ class TestSkew:
                                  r"flow S1\(i=1, j=1\) -> S1\(i=1, j=2\) at N=3"):
             skew(stencil(), (0, 1), -1)
 
+    def test_skew_that_uncarries_a_dependence_rejected(self):
+        # i + j turns the distance (1, -1), carried at i, into (0, -1): it
+        # must stay carried at the skewed level, not only stay non-negative
+        src = ("int N;\nint A[N][N];\n#pragma scop\nfor (i = 1; i < N; i++) {\n"
+               "  for (j = 0; j < N - 1; j++) {\n    A[i][j] = A[i-1][j+1] + 1;\n  }\n}\n"
+               "#pragma endscop\n")
+        with pytest.raises(IllegalTilingError,
+                           match=r"skew reverses dependence S1 -> S1 at time level 1: "
+                                 r"flow S1\(i=1, j=1\) -> S1\(i=2, j=0\) at N=3"):
+            skew(build_scop(fe.parse_program(src))[0], (0, 1), 1)
+
 
 class TestTileSkewedBand:
     """The tile box cuts the band's schedule rows: after skewing seidel-1d

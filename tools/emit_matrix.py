@@ -8,7 +8,9 @@ checkout's `src/`) on every `tests/corpus.py` program, `TWO_NEST` and
 runs untransformed and under tile, tile+wavefront and subbb-tile at band
 depth min(2, d) and at its full loop depth d (tile size 4), with
 `--emit=affine|std|hls-c`, `--dump=scop|deps|bounds` and `--verify-each
---emit=affine`.  Every stored `perfbench/air/*.air` module (read in place)
+--emit=affine`.  `stencil2d` also runs each malformed or illegal pass flag
+of FLAG_CASES (and `--help`) after `--emit=affine`, so every pass-flag
+message is pinned.  Every stored `perfbench/air/*.air` module (read in place)
 runs with `--emit=affine|std|hls-c` and `--dump=bounds`.  Every `.pc` input and
 every stored module also runs once as `run --trace --dump-arrays`, with
 every symbol set to 5, non-zero arrays and `POLYHLS_SEED=1`, so the
@@ -38,6 +40,8 @@ EMITS = ("--emit=affine", "--emit=std", "--emit=hls-c")
 OUTPUTS = EMITS + ("--dump=scop", "--dump=deps", "--dump=bounds",
                    "--verify-each --emit=affine")
 AIR_OUTPUTS = EMITS + ("--dump=bounds",)
+FLAG_CASES = ("-tile=", "-tile=a", "-tile=0", "-tile", "-skew=1,2", "-skew=0,1,-1",
+              "-wavefront=1", "-wavefront", "-tile=4,4 -subbb-tile=4,8", "--help")
 RUN_SIZE = 5
 
 
@@ -114,6 +118,12 @@ def main(argv):
             for output in OUTPUTS:
                 case = case_name("%s__%s" % (name, pname), output)
                 run(os.path.join(outdir, case), [path] + flags + output.split())
+                cases += 1
+        if name == "corpus-stencil2d":
+            for flags in FLAG_CASES:
+                output = "--emit=affine " + flags
+                run(os.path.join(outdir, case_name(name + "__flags", output)),
+                    [path] + output.split())
                 cases += 1
     for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
         name = "air-" + os.path.basename(path)[:-4]
