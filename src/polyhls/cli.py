@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 user error, 2 internal invariant violation.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 
@@ -78,7 +79,7 @@ def _parse_args(argv):
         "input": None, "passes": [], "emit": None,
         "dumps": [], "assume": [], "set": [], "init": [],
         "dump_arrays": False, "trace": False, "verify_each": False,
-        "out": None, "run": False,
+        "out": None, "run": False, "help": False,
     }
     i = 0
     if argv and argv[0] == "run":
@@ -114,7 +115,7 @@ def _parse_args(argv):
                 raise _UserError("-o needs a file name")
             opts["out"] = argv[i]
         elif a in ("-h", "--help"):
-            opts["emit"] = "help"
+            opts["help"] = True
         elif a.startswith("-"):
             raise _UserError("unknown flag %r" % a)
         elif opts["input"] is None:
@@ -134,8 +135,15 @@ def _parse_module(text):
 
 
 def _verify_snapshot(scop):
-    """Small fixed-size interpreter state for `--verify-each`."""
-    symbols = {s: 5 for s in scop.symbols}
+    """Small fixed-size interpreter state for `--verify-each`: the first
+    binding of every symbol in 5..15, in lexicographic order, that the
+    context allows."""
+    binding = next((v for v in itertools.product(range(5, 16), repeat=len(scop.symbols))
+                    if scop.context.contains((), v)), None)
+    if binding is None:
+        raise _UserError("--verify-each: no binding of the symbols in 5..15 satisfies "
+                         "the context")
+    symbols = dict(zip(scop.symbols, binding))
     init = {}
     for k, a in enumerate(interp.make_machine(symbols, scop.arrays).arrays.values()):
         vals = [(7 * i + 3 * k + 1) % 11 for i in range(len(a.data))]
@@ -156,8 +164,9 @@ def _verify_each(scop, passname, ref):
         state = interp.run(obj, symbols, init)
         got = {n: a.data for n, a in state.arrays.items()}
         if got != want:
-            raise VerificationError(
-                "after %s: interpreter mismatch at N=%d" % (passname, symbols[list(symbols)[0]] if symbols else 0))
+            at = ", ".join("%s=%d" % kv for kv in symbols.items())
+            raise VerificationError("after %s: interpreter mismatch%s"
+                                    % (passname, " at " + at if at else ""))
     return module
 
 
@@ -193,25 +202,30 @@ def _check_flags(opts, air):
 
 
 def _compile(opts, obj):
-    out = []
+    """Compile mode: (the `--dump` text, the `--emit` text)."""
+    dumps = []
     emit = opts["emit"]
     if isinstance(obj, fe.Program):
-        module = _compile_pc(opts, obj, out)
+        scops, module = _compile_pc(opts, obj, dumps)
     else:
-        module = obj
-        out.extend(dump_bounds(module) for _ in opts["dumps"])
-    if emit == "affine":
-        out.append(print_ir(module))
+        scops, module = None, obj
+        dumps.extend(dump_bounds(module) for _ in opts["dumps"])
+    text = ""
+    if emit == "scop":
+        text = "".join(dump_scop(scop) for scop in scops)
+    elif emit == "affine":
+        text = print_ir(module)
     elif emit == "std":
-        out.append(hls.print_std(hls.lower_to_standard(module)))
+        text = hls.print_std(hls.lower_to_standard(module))
     elif emit == "hls-c":
-        out.append(hls.emit_c(hls.insert_directives(hls.partition(module))))
-    return "".join(out)
+        text = hls.emit_c(hls.insert_directives(hls.partition(module)))
+    return "".join(dumps), text
 
 
 def _compile_pc(opts, prog, out):
-    """Passes, dumps and `--emit=scop` of a `.pc` program, appended to
-    `out`; returns the module to emit when `--emit` asks for one."""
+    """Passes and dumps of a `.pc` program, the dumps appended to `out`;
+    returns the transformed SCoPs and the module to emit when `--emit`
+    asks for one."""
     scops = build_scop(prog, opts["assume"])
     if not scops:
         raise _UserError("no #pragma scop region in input")
@@ -241,11 +255,7 @@ def _compile_pc(opts, prog, out):
                 out.append(dump_deps(compute_dependences(scop)))
             else:
                 out.append(dump_bounds(modules[k]))
-    if emit == "scop":
-        out.extend(dump_scop(scop) for scop in results)
-    elif emit in _MODULE_EMITS:
-        return modules[0]
-    return None
+    return results, modules[0] if emit in _MODULE_EMITS else None
 
 
 def _load_values(path, decl):
@@ -299,7 +309,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         opts = _parse_args(argv)
-        if opts["emit"] == "help":
+        if opts["help"]:
             sys.stdout.write(_USAGE)
             return 0
         if opts["input"] is None:
@@ -314,7 +324,8 @@ def main(argv=None):
         air = opts["input"].endswith(".air")
         obj = _parse_module(text) if air else fe.parse_program(text)
         _check_flags(opts, air)
-        output = _run_mode(opts, obj) if opts["run"] else _compile(opts, obj)
+        dumps, output = ("", _run_mode(opts, obj)) if opts["run"] else _compile(opts, obj)
+        sys.stdout.write(dumps)
         if opts["out"] is not None:
             with open(opts["out"], "w") as f:
                 f.write(output)

@@ -1,5 +1,5 @@
-"""HLS lowering: expand Affine IR into a standard-level loop AST with
-explicit floord/ceild/min/max arithmetic, split kernel from host with
+"""HLS lowering: lower a module's affine ops in place into standard-level
+ops with explicit floord/ceild/min/max arithmetic, split kernel from host with
 per-array transfer classification, insert HLS directives, and emit C99.
 
 The emitted file is self-contained: the host main() reads symbol values
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from . import frontend as fe
 from .affine import FLOORDIV, MOD
 from .errors import CodegenError, InterpError
-from .ir import AffineIrModule, Call, For, If
+from .ir import AffineIrModule, Call, For, If, format_decls
 
 
 # ---------------------------------------------------------------------------
@@ -41,22 +41,12 @@ class CGuard:
 
 
 @dataclass(frozen=True)
-class LoopAst:
-    """Standard level: no affine-map table, bounds are plain expressions."""
-
-    symbols: tuple
-    arrays: tuple  # of frontend.ArrayDecl
-    stmts: tuple  # of ir.StmtDef
-    body: tuple
-
-
-@dataclass(frozen=True)
 class HlsProgram:
     name: str  # kernel is <name>_kernel
     symbols: tuple
     arrays: tuple  # declared arrays actually referenced by the kernel
     stmts: tuple
-    kernel: tuple  # LoopAst-level ops
+    kernel: tuple  # standard-level ops
     transfers: tuple  # of (array name, "in"/"out"/"inout"), declaration order
 
 
@@ -106,9 +96,10 @@ def _cond_from_setref(sr):
     return tuple(parts)
 
 
-def lower_to_standard(m: AffineIrModule) -> LoopAst:
-    """Expand every map into explicit min/max/floord/ceild arithmetic;
-    `parallel_for` becomes an annotated sequential loop."""
+def lower_to_standard(m: AffineIrModule) -> AffineIrModule:
+    """`m` with its ops lowered in place: every map expands into explicit
+    min/max/floord/ceild arithmetic, and `parallel_for` becomes an
+    annotated sequential loop."""
 
     def conv(ops):
         out = []
@@ -127,7 +118,7 @@ def lower_to_standard(m: AffineIrModule) -> LoopAst:
                 raise CodegenError("unknown op %r" % (op,))
         return tuple(out)
 
-    return LoopAst(m.symbols, m.arrays, m.stmts, conv(m.body))
+    return replace(m, body=conv(m.body))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +138,6 @@ def partition(m: AffineIrModule, name="scop0") -> HlsProgram:
     """One kernel per module; transfers classified from the statement
     templates' read/write sets (read-only -> in, write-only -> out,
     both -> inout)."""
-    ast = lower_to_standard(m)
     reads, writes = _access_sets(m.stmts)
     arrays = tuple(a for a in m.arrays if a.name in reads | writes)
     transfers = []
@@ -158,7 +148,8 @@ def partition(m: AffineIrModule, name="scop0") -> HlsProgram:
             transfers.append((a.name, "in"))
         else:
             transfers.append((a.name, "out"))
-    return HlsProgram(name, m.symbols, arrays, m.stmts, ast.body, tuple(transfers))
+    return HlsProgram(name, m.symbols, arrays, m.stmts, lower_to_standard(m).body,
+                      tuple(transfers))
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +348,11 @@ def emit_c(p: HlsProgram) -> str:
 # textual dump of the standard level (`--emit=std`)
 
 
-def print_std(ast) -> str:
-    body = ast.kernel if isinstance(ast, HlsProgram) else ast.body
-    stmts = ast.stmts
-    out = []
-    for s in ast.symbols:
-        out.append("symbol %s" % s)
-    for a in ast.arrays:
-        out.append("array %s : %s %s" % (
-            a.name, "int64" if a.elem == fe.INT64 else "float64",
-            "".join("[%s]" % e for e in a.extents)))
-    for sd in stmts:
-        out.append("stmt %s(%s) { %s = %s; }" % (
-            sd.name, ", ".join(sd.params),
-            fe.format_expr(sd.body.ref), fe.format_expr(sd.body.rhs)))
-    if isinstance(ast, HlsProgram):
-        for name, kind in ast.transfers:
-            out.append("transfer %s %s" % (kind, name))
+def print_std(m) -> str:
+    """A lowered module or an `HlsProgram` (with its transfers) as text."""
+    out = format_decls(m)
+    if isinstance(m, HlsProgram):
+        out += ["transfer %s %s" % (kind, name) for name, kind in m.transfers]
 
     def walk(ops, ind):
         pad = "  " * ind
@@ -402,5 +381,5 @@ def print_std(ast) -> str:
             elif isinstance(op, Call):
                 out.append("%scall %s(%s)" % (pad, op.stmt, ", ".join(op.args)))
 
-    walk(body, 0)
+    walk(m.kernel if isinstance(m, HlsProgram) else m.body, 0)
     return "\n".join(out) + "\n"

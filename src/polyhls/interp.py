@@ -1,6 +1,6 @@
 """Reference interpreter for every pipeline representation: source
-Program, scheduled Scop, Affine IR, standard-level LoopAst, and the
-host/kernel HlsProgram.
+Program, scheduled Scop, the Affine IR module (affine or lowered to the
+standard level), and the host/kernel HlsProgram.
 
 All representations execute against the same :class:`Machine` (flat
 buffers, name-indexed symbols).  Out-of-bounds accesses and unbound names
@@ -10,7 +10,7 @@ a seeded random order (`shuffle_seed`) to test order-independence.
 
 Three executors: the source walker (the reference, sharing no loop code
 with what it checks), the Scop scanner, and one loop-nest walker for
-Affine IR, LoopAst and the HLS kernel.
+the module at either level and the HLS kernel.
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def _run_scop(scop, machine):
 
 
 # ---------------------------------------------------------------------------
-# loop nests: Affine IR, the standard-level LoopAst and the HLS kernel.  One
-# walker owns iteration, the parallel-loop order, branches and calls; each
-# representation keeps its own evaluator of bounds and conditions, so the
+# loop nests: the module's affine or standard-level ops and the HLS kernel.
+# One walker owns iteration, the parallel-loop order, branches and calls;
+# each op class keeps its own evaluator of bounds and conditions, so the
 # oracle checks `hls.lower_to_standard` apart from codegen.
 
 
@@ -298,7 +298,6 @@ _EXECUTORS = {
     fe.Program: _run_program,
     Scop: _run_scop,
     AffineIrModule: lambda m, machine: _run_nest(m, m.body, machine),
-    hls.LoopAst: lambda ast, machine: _run_nest(ast, ast.body, machine),
     hls.HlsProgram: _run_hls,
 }
 

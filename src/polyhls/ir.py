@@ -86,6 +86,12 @@ class StmtDef:
 
 @dataclass(frozen=True)
 class AffineIrModule:
+    """A program between codegen and the host/kernel split.  Codegen and
+    `parse_ir` fill `body` with `For`/`If`/`Call`; after
+    `hls.lower_to_standard` it holds `hls.CFor`/`hls.CGuard`/`Call`
+    instead, as an MLIR module does after `-lower-affine`.  `print_ir` and
+    `verify_ir` take the affine form only."""
+
     symbols: tuple
     arrays: tuple  # of fe.ArrayDecl
     stmts: tuple  # of StmtDef
@@ -109,15 +115,10 @@ class _MapTable:
         return "#set%d" % self.sets.setdefault(s, len(self.sets))
 
 
-def _shift_ub(m):
-    """Inclusive -> exclusive upper bound map (+1 on every result)."""
-    return AffineMap(m.num_dims, m.num_syms,
-                     tuple(r + 1 for r in m.results))
-
-
-def _unshift_ub(m):
-    return AffineMap(m.num_dims, m.num_syms,
-                     tuple(r - 1 for r in m.results))
+def _shift(m, k):
+    """`m` with `k` added to every result: +1 turns an inclusive upper bound
+    into the printed exclusive one, -1 turns it back."""
+    return AffineMap(m.num_dims, m.num_syms, tuple(r + k for r in m.results))
 
 
 def _ref_str(name, dims, syms):
@@ -131,7 +132,7 @@ def _print_op(op, table, indent, out):
     pad = "  " * indent
     if isinstance(op, For):
         lb = table.map_name(op.lb.map)
-        ub = table.map_name(_shift_ub(op.ub.map))
+        ub = table.map_name(_shift(op.ub.map, 1))
         kw = "affine.parallel_for" if op.parallel else "affine.for"
         out.append("%s%s %s = max %s to min %s {" % (
             pad, kw, op.var,
@@ -156,22 +157,25 @@ def _print_op(op, table, indent, out):
         raise TypeError(op)
 
 
+def format_decls(m):
+    """The `symbol`, `array` and `stmt` lines of a module or an
+    `hls.HlsProgram`, unindented."""
+    lines = ["symbol %s" % s for s in m.symbols]
+    lines += ["array %s : %s %s" % (a.name, a.elem, "".join("[%s]" % e for e in a.extents))
+              for a in m.arrays]
+    lines += ["stmt %s(%s) { %s = %s; }" % (s.name, ", ".join(s.params),
+                                            fe.format_expr(s.body.ref), fe.format_expr(s.body.rhs))
+              for s in m.stmts]
+    return lines
+
+
 def print_ir(module):
     """Canonical text with maps numbered in first-use order."""
     table = _MapTable()
     body_lines = []
     for op in module.body:
         _print_op(op, table, 1, body_lines)
-    decls = []
-    for s in module.symbols:
-        decls.append("  symbol %s" % s)
-    for a in module.arrays:
-        decls.append("  array %s : %s %s" % (
-            a.name, a.elem, "".join("[%s]" % e for e in a.extents)))
-    for s in module.stmts:
-        decls.append("  stmt %s(%s) { %s = %s; }" % (
-            s.name, ", ".join(s.params),
-            fe.format_expr(s.body.ref), fe.format_expr(s.body.rhs)))
+    decls = ["  " + line for line in format_decls(module)]
     header = []
     for i, m in enumerate(table.maps):
         header.append("#map%d = %s" % (i, format_map(m)))
@@ -261,15 +265,15 @@ class _IrParser:
                 var = cur.name()
                 cur.expect("=")
                 cur.expect("max")
-                lb = self._mapref()
+                lb = self._ref(self.maps, "map", MapRef)
                 cur.expect("to")
                 cur.expect("min")
-                ub = self._mapref()
+                ub = self._ref(self.maps, "map", MapRef)
                 body = self._block()
-                return For(var, lb, replace(ub, map=_unshift_ub(ub.map)),
+                return For(var, lb, replace(ub, map=_shift(ub.map, -1)),
                            which == "parallel_for", body)
             if which == "if":
-                cond = self._setref()
+                cond = self._ref(self.sets, "set", SetRef)
                 then = self._block()
                 els = ()
                 if cur.peek()[1] == "else":
@@ -294,32 +298,19 @@ class _IrParser:
         self.cur.next()
         return tuple(body)
 
-    def _operands(self):
-        dims = self.cur.names("(", ")")
-        syms = self.cur.names("[", "]") if self.cur.peek()[1] == "[" else ()
-        return tuple(dims), tuple(syms)
-
-    def _mapref(self):
+    def _ref(self, table, word, cls):
+        """`#name(dims)[syms]`: the `word` ("map" or "set") `name` of
+        `table` applied to its operands, as a `cls` (MapRef or SetRef)."""
         self.cur.expect("#")
         kind, name, pos = self.cur.next()
-        if name not in self.maps:
-            raise ParseError("unknown map reference #%s" % name, *pos)
-        m = self.maps[name]
-        dims, syms = self._operands()
-        if len(dims) != m.num_dims or len(syms) != m.num_syms:
-            raise ParseError("map #%s applied with wrong operand counts" % name, *pos)
-        return MapRef(m, dims, syms)
-
-    def _setref(self):
-        self.cur.expect("#")
-        kind, name, pos = self.cur.next()
-        if name not in self.sets:
-            raise ParseError("unknown set reference #%s" % name, *pos)
-        s = self.sets[name]
-        dims, syms = self._operands()
-        if len(dims) != s.num_dims or len(syms) != s.num_syms:
-            raise ParseError("set #%s applied with wrong operand counts" % name, *pos)
-        return SetRef(s, dims, syms)
+        if name not in table:
+            raise ParseError("unknown %s reference #%s" % (word, name), *pos)
+        target = table[name]
+        dims = tuple(self.cur.names("(", ")"))
+        syms = tuple(self.cur.names("[", "]")) if self.cur.peek()[1] == "[" else ()
+        if len(dims) != target.num_dims or len(syms) != target.num_syms:
+            raise ParseError("%s #%s applied with wrong operand counts" % (word, name), *pos)
+        return cls(target, dims, syms)
 
 
 def parse_ir(text):

@@ -195,6 +195,21 @@ for (t = 0; t < T; t++) {
 """, depth=2)
 
 
+# Not in ALL either: A is read at 2*i and i*2 + 1, so it needs M >= 2*N,
+# and the harnesses over ALL bind every symbol to one value.
+STRIDED = CorpusProgram("strided", """\
+int N;
+int M;
+float A[M];
+float B[N];
+#pragma scop
+for (i = 0; i < N; i++) {
+  B[i] = 0.5 * A[2*i] - A[i*2 + 1] * -2.0 + -B[i];
+}
+#pragma endscop
+""", depth=1)
+
+
 def parse(p: CorpusProgram):
     return fe.parse_program(p.source)
 

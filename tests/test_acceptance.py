@@ -236,14 +236,14 @@ def _build_c(tmp_path, name, p):
     return exe
 
 
-def _c_mismatches(exe, p, n, init):
+def _c_mismatches(exe, p, symbols, init):
     """Names of the output arrays on which `exe`, built from `p`, differs
-    bit for bit from `interp.run` of `p`, with every symbol at `n`."""
-    want = interp.run(p, {s: n for s in p.symbols}, init)
+    bit for bit from `interp.run` of `p` under the bindings `symbols`."""
+    want = interp.run(p, symbols, init)
     kinds = dict(p.transfers)
     stdin = [repr(v) for a in p.arrays if kinds[a.name] in ("in", "inout")
              for v in init[a.name]]
-    r = subprocess.run([exe] + [str(n)] * len(p.symbols), input="\n".join(stdin),
+    r = subprocess.run([exe] + [str(symbols[s]) for s in p.symbols], input="\n".join(stdin),
                        capture_output=True, text=True, check=True)
     toks = iter(r.stdout.split())
     bad = []
@@ -265,7 +265,8 @@ def test_criterion_8_external_differential_execution(tmp_path):
         module = simplify_bounds(generate_loops(scop))
         p = hls.insert_directives(hls.partition(module, scop.name))
         init = corpus.init_arrays(prog, {s: n for s in prog.symbols}, seed=n)
-        for name in _c_mismatches(_build_c(tmp_path, entry.name, p), p, n, init):
+        for name in _c_mismatches(_build_c(tmp_path, entry.name, p), p,
+                                  {s: n for s in p.symbols}, init):
             ok = False
             print("mismatch:", entry.name, name)
     report(ok, 8, "emitted HLS C compiled with cc matches the interpreter "
@@ -287,7 +288,34 @@ def test_transformed_c_matches_interpreter(tmp_path):
                                                     scop.name))
             exe = _build_c(tmp_path, "%s-%s" % (entry.name, pname), p)
             for n in (3, 6, 9):
-                init = corpus.init_arrays(prog, {s: n for s in prog.symbols}, seed=n)
-                bad += [(entry.name, pname, n, name) for name in _c_mismatches(exe, p, n, init)]
+                symbols = {s: n for s in prog.symbols}
+                init = corpus.init_arrays(prog, symbols, seed=n)
+                bad += [(entry.name, pname, n, name)
+                        for name in _c_mismatches(exe, p, symbols, init)]
                 checked += 1
     assert bad == [] and checked == 3 * sum(2 + (e.depth >= 2) for e in corpus.ALL)
+
+
+def test_strided_kernel_matches_on_every_level(tmp_path):
+    # constant-times-index subscripts (2*i, i*2 + 1) and unary minus, on
+    # the source, the Scop, the .air text, std, HLS and the compiled C
+    prog = fe.parse_program(corpus.STRIDED.source)
+    checked, bad = 0, []
+    for pname, pipe in _PIPELINES[:2]:
+        scop = pipe(build_scop(prog, ["M >= 2*N"])[0], corpus.STRIDED.depth)
+        module = simplify_bounds(generate_loops(scop))
+        p = hls.insert_directives(hls.partition(module, scop.name))
+        reps = (scop, parse_ir(print_ir(module)), hls.lower_to_standard(module), p)
+        exe = _build_c(tmp_path, "strided-" + pname, p) if shutil.which("cc") else None
+        for n in (3, 6, 9):
+            symbols = {"N": n, "M": 2 * n}
+            init = corpus.init_arrays(prog, symbols, seed=n)
+            want = interp.run(prog, symbols, init).arrays
+            for rep in reps:
+                got = interp.run(rep, symbols, init).arrays
+                bad += [(pname, n, type(rep).__name__, a) for a in want
+                        if got[a].data != want[a].data]
+            if exe is not None:
+                bad += [(pname, n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
+            checked += 1
+    assert bad == [] and checked == 6

@@ -57,6 +57,21 @@ class TestCompile:
         assert code == 0 and out == ""
         assert "module {" in dest.read_text()
 
+    def test_dumps_stay_on_stdout_with_output_file(self, pc_file, capsys, tmp_path):
+        dest = tmp_path / "k.c"
+        code, out, _ = run_cli(capsys, pc_file, "--dump=deps", "--emit=hls-c", "-o", str(dest))
+        assert code == 0 and out.startswith("S1 -> S1 : flow : distance (1, 0)")
+        assert dest.read_text() == run_cli(capsys, pc_file, "--emit=hls-c")[1]
+        # without -o the dumps come first on stdout, then the emit
+        assert run_cli(capsys, pc_file, "--dump=deps", "--emit=hls-c")[1] == \
+            out + dest.read_text()
+
+    @pytest.mark.parametrize("args", [("--help", "--emit=affine"), ("--emit=affine", "--help")],
+                             ids=["help-first", "help-last"])
+    def test_help_wins_over_emit(self, pc_file, capsys, args):
+        code, out, err = run_cli(capsys, pc_file, *args)
+        assert code == 0 and out == cli._USAGE and err == ""
+
     def test_deterministic_output(self, pc_file, capsys):
         _, a, _ = run_cli(capsys, pc_file, "-tile=8,8", "-wavefront", "--emit=hls-c")
         _, b, _ = run_cli(capsys, pc_file, "-tile=8,8", "-wavefront", "--emit=hls-c")
@@ -85,6 +100,13 @@ class TestCompile:
         code, out, _ = run_cli(capsys, pc_file, "-tile=4,4", "-wavefront",
                                "--verify-each", "--emit=affine")
         assert code == 0 and "module {" in out
+
+    def test_verify_each_honours_assume(self, capsys, tmp_path):
+        # every symbol at 5 violates M >= 2*N
+        f = corpus_file(tmp_path, corpus.STRIDED)
+        code, out, err = run_cli(capsys, f, "-tile=4", "--assume", "M >= 2*N", "--verify-each",
+                                 "--emit=affine")
+        assert code == 0 and err == "" and "module {" in out
 
     def test_verify_each_reuses_module(self, pc_file, capsys, monkeypatch):
         # one module per pass, the last one emitted
@@ -194,6 +216,22 @@ class TestErrors:
         code, out, err = run_cli(capsys, pc_file, "-tile=4,4", "--verify-each", "--emit=affine")
         assert code == 1 and out == ""
         assert err == "poly-hls: error: after tile: interpreter mismatch at N=5\n"
+
+    def test_verify_each_mismatch_names_every_binding(self, capsys, tmp_path, monkeypatch):
+        # N=5, M=10 is the first binding in 5..15 that M >= 2*N allows
+        f = corpus_file(tmp_path, corpus.STRIDED)
+        monkeypatch.setattr(cli, "simplify_bounds", lambda module: replace(module, body=()))
+        code, out, err = run_cli(capsys, f, "-tile=4", "--assume", "M >= 2*N", "--verify-each",
+                                 "--emit=affine")
+        assert code == 1 and out == ""
+        assert err == "poly-hls: error: after tile: interpreter mismatch at N=5, M=10\n"
+
+    def test_verify_each_without_a_binding_is_user_error(self, pc_file, capsys):
+        code, _, err = run_cli(capsys, pc_file, "-tile=4,4", "--assume", "N >= 16",
+                               "--verify-each", "--emit=affine")
+        assert code == 1
+        assert err == ("poly-hls: error: --verify-each: no binding of the symbols in 5..15 "
+                       "satisfies the context\n")
 
     def test_illegal_tiling_of_two_nests_is_user_error(self, capsys, tmp_path):
         f = tmp_path / "two_nest.pc"

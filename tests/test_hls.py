@@ -1,4 +1,4 @@
-"""HLS lowering tests: standard-level AST, partition, directives, C emission."""
+"""HLS lowering tests: lowering in place, partition, directives, C emission."""
 
 import os
 import shutil
@@ -8,7 +8,7 @@ import pytest
 
 from polyhls import frontend as fe, hls, interp
 from polyhls.codegen import generate_loops, simplify_bounds
-from polyhls.ir import parse_ir
+from polyhls.ir import AffineIrModule, format_decls, parse_ir, print_ir
 from polyhls.scop import build_scop
 from polyhls.transforms import TilingSpec, sub_bounding_box_tile, tile, wavefront_parallelize
 
@@ -23,6 +23,22 @@ CONST_TRIP_LOOP = ("#map0 = affine_map<() -> (0)>\n"
                    "  affine.parallel_for i = max #map0() to min #map1() {\n"
                    "    call @S1(i)\n  }\n}\n")
 
+# an affine.if with both branches: S1 when i >= 2, S2 otherwise
+IF_ELSE = ("#map0 = affine_map<() -> (0)>\n"
+           "#map1 = affine_map<()[s0] -> (s0)>\n"
+           "#set0 = integer_set<(d0) : (d0 - 2 >= 0)>\n"
+           "module {\n  symbol N\n  array A : int64 [N]\n"
+           "  stmt S1(i) { A[i] = A[i] * 3 + i; }\n"
+           "  stmt S2(i) { A[i] = A[i] - 7; }\n"
+           "  affine.for i = max #map0() to min #map1()[N] {\n"
+           "    affine.if #set0(i) {\n      call @S1(i)\n"
+           "    } else {\n      call @S2(i)\n    }\n  }\n}\n")
+
+
+def if_else_reference(a):
+    """IF_ELSE run in plain Python on the values `a` of A."""
+    return [v * 3 + i if i >= 2 else v - 7 for i, v in enumerate(a)]
+
 
 def module_for(entry, pipeline="none"):
     scop = build_scop(fe.parse_program(entry.source))[0]
@@ -34,6 +50,13 @@ def module_for(entry, pipeline="none"):
 
 
 class TestLowerToStandard:
+    def test_lowers_in_place(self):
+        _, m = module_for(corpus.STENCIL2D, "wavefront")
+        ast = hls.lower_to_standard(m)
+        assert isinstance(ast, AffineIrModule)
+        assert (ast.symbols, ast.arrays, ast.stmts) == (m.symbols, m.arrays, m.stmts)
+        assert isinstance(ast.body[0], hls.CFor)
+
     def test_identity_loop(self):
         _, m = module_for(corpus.COPY)
         ast = hls.lower_to_standard(m)
@@ -167,6 +190,27 @@ class TestPrintStd:
         assert "for parallel pipeline unroll=4 i = 0 to 3 {" in hls.print_std(p).splitlines()
 
 
+class TestIfElse:
+    def test_round_trip_and_std_text(self):
+        # both printers take their declaration lines from format_decls
+        m = parse_ir(IF_ELSE)
+        assert print_ir(m) == IF_ELSE
+        decls = format_decls(m)
+        assert ["  " + line for line in decls] == IF_ELSE.splitlines()[4:8]
+        assert hls.print_std(hls.lower_to_standard(m)).splitlines() == decls + [
+            "for i = 0 to N - 1 {", "  if i - 2 >= 0 {", "    call S1(i)", "  } else {",
+            "    call S2(i)", "  }", "}"]
+
+    def test_every_level_matches_reference(self):
+        m = parse_ir(IF_ELSE)
+        p = hls.insert_directives(hls.partition(m))
+        for n in (1, 4, 7):
+            a = [5 * k - 3 for k in range(n)]
+            for rep in (m, hls.lower_to_standard(m), p):
+                assert interp.run(rep, {"N": n}, {"A": a}).arrays["A"].data == \
+                    if_else_reference(a), (type(rep).__name__, n)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 class TestDifferentialExecution:
     def compile_and_run(self, text, argv, stdin, tmp_path):
@@ -214,6 +258,14 @@ class TestDifferentialExecution:
         want = interp.run(p, {"N": 6}, {"A": init}).arrays["A"].data
         toks = self.compile_and_run(text, ["6"], "\n".join(map(repr, init)), tmp_path)
         assert [float.fromhex(t) for t in toks] == want
+
+    def test_if_else_matches_reference(self, tmp_path):
+        text = hls.emit_c(hls.insert_directives(hls.partition(parse_ir(IF_ELSE))))
+        assert "} else {" in text
+        for n in (1, 4, 7):
+            a = [5 * k - 3 for k in range(n)]
+            toks = self.compile_and_run(text, [str(n)], "\n".join(map(str, a)), tmp_path)
+            assert [int(t) for t in toks] == if_else_reference(a), n
 
     def test_right_nested_float_sum_bit_exact(self, tmp_path):
         # float + does not associate: B + (C + D) is 0.0, (B + C) + D is 1.0

@@ -10,8 +10,9 @@ depth min(2, d) and at its full loop depth d (tile size 4), with
 `--emit=affine|std|hls-c`, `--dump=scop|deps|bounds` and `--verify-each
 --emit=affine`.  `stencil2d` also runs each malformed or illegal pass flag
 of FLAG_CASES (and `--help`) after `--emit=affine`, so every pass-flag
-message is pinned.  Every stored `perfbench/air/*.air` module (read in place)
-runs with `--emit=affine|std|hls-c` and `--dump=bounds`.  Every `.pc` input and
+message is pinned, and `--help` once before it.  Every stored
+`perfbench/air/*.air` module (read in place) runs with
+`--emit=affine|std|hls-c` and `--dump=bounds`.  Every `.pc` input and
 every stored module also runs once as `run --trace --dump-arrays`, with
 every symbol set to 5, non-zero arrays and `POLYHLS_SEED=1`, so the
 interpreter gets the same check as the emitters.  Each file holds the
@@ -120,8 +121,7 @@ def main(argv):
                 run(os.path.join(outdir, case), [path] + flags + output.split())
                 cases += 1
         if name == "corpus-stencil2d":
-            for flags in FLAG_CASES:
-                output = "--emit=affine " + flags
+            for output in ["--emit=affine " + f for f in FLAG_CASES] + ["--help --emit=affine"]:
                 run(os.path.join(outdir, case_name(name + "__flags", output)),
                     [path] + output.split())
                 cases += 1
