@@ -74,6 +74,25 @@ def _pass_values(name, text):
     return vals
 
 
+# option flag -> (its opts key, a list if it repeats; how it takes a value:
+# after "=", after "=" or as the next argument ("= next"), only as the next
+# argument ("next") or not at all (""); where it acts, None for anywhere)
+_OPTIONS = {
+    "--assume": ("assume", "= next", "pc"),
+    "--verify-each": ("verify_each", "", "pc"),
+    "--emit": ("emit", "=", "compile"),
+    "--dump": ("dumps", "=", "compile"),
+    "--set": ("set", "= next", "run"),
+    "--init": ("init", "= next", "run"),
+    "--trace": ("trace", "", "run"),
+    "--dump-arrays": ("dump_arrays", "", "run"),
+    "-o": ("out", "next", None),
+    "-h": ("help", "", None),
+    "--help": ("help", "", None),
+}
+_NEEDS = {"pc": "a .pc input in compile mode", "compile": "compile mode", "run": "run mode"}
+
+
 def _parse_args(argv):
     opts = {
         "input": None, "passes": [], "emit": None,
@@ -87,35 +106,23 @@ def _parse_args(argv):
         i = 1
     while i < len(argv):
         a = argv[i]
-        name, eq, text = a[1:].partition("=")
-        if a.startswith("-") and name in _PASSES and bool(eq) == bool(_PASSES[name][0]):
-            opts["passes"].append((name, _pass_values(name, text) if eq else None))
-        elif a.startswith("--emit="):
-            opts["emit"] = a[7:]
-        elif a.startswith("--dump="):
-            opts["dumps"].append(a[7:])
-        elif a.partition("=")[0] in ("--assume", "--set", "--init"):
-            # `--flag VALUE` or `--flag=VALUE`
-            flag, eq, value = a.partition("=")
-            if not eq:
+        flag, eq, value = a.partition("=")
+        key, form, _ = _OPTIONS.get(flag, (None, None, None))
+        if a.startswith("-") and flag[1:] in _PASSES and bool(eq) == bool(_PASSES[flag[1:]][0]):
+            opts["passes"].append((flag[1:], _pass_values(flag[1:], value) if eq else None))
+        elif key and ("=" in form if eq else form != "="):
+            if not form:
+                value = True
+            elif not eq:
                 i += 1
                 if i == len(argv):
-                    raise _UserError("%s needs an argument" % flag)
+                    raise _UserError("%s needs %s" % (flag, "a file name" if form == "next"
+                                                      else "an argument"))
                 value = argv[i]
-            opts[flag[2:]].append(value)
-        elif a == "--dump-arrays":
-            opts["dump_arrays"] = True
-        elif a == "--trace":
-            opts["trace"] = True
-        elif a == "--verify-each":
-            opts["verify_each"] = True
-        elif a == "-o":
-            i += 1
-            if i == len(argv):
-                raise _UserError("-o needs a file name")
-            opts["out"] = argv[i]
-        elif a in ("-h", "--help"):
-            opts["help"] = True
+            if isinstance(opts[key], list):
+                opts[key].append(value)
+            else:
+                opts[key] = value
         elif a.startswith("-"):
             raise _UserError("unknown flag %r" % a)
         elif opts["input"] is None:
@@ -148,8 +155,12 @@ def _verify_snapshot(scop):
     for k, a in enumerate(interp.make_machine(symbols, scop.arrays).arrays.values()):
         vals = [(7 * i + 3 * k + 1) % 11 for i in range(len(a.data))]
         init[a.name] = vals if a.elem == fe.INT64 else [v / 4.0 for v in vals]
-    state = interp.run(scop, symbols, init)
-    return symbols, init, {n: a.data for n, a in state.arrays.items()}
+    return symbols, init, _bits(interp.run(scop, symbols, init))
+
+
+def _bits(state):
+    """The `repr` of each array's values: bit-exact, -0.0 apart from 0.0."""
+    return {n: repr(a.data) for n, a in state.arrays.items()}
 
 
 def _verify_each(scop, passname, ref):
@@ -161,36 +172,37 @@ def _verify_each(scop, passname, ref):
     if diags:
         raise VerificationError("after %s: verify_ir: %s" % (passname, "; ".join(diags)))
     for obj in (scop, module):
-        state = interp.run(obj, symbols, init)
-        got = {n: a.data for n, a in state.arrays.items()}
-        if got != want:
+        if _bits(interp.run(obj, symbols, init)) != want:
             at = ", ".join("%s=%d" % kv for kv in symbols.items())
             raise VerificationError("after %s: interpreter mismatch%s"
                                     % (passname, " at " + at if at else ""))
     return module
 
 
-_MODULE_EMITS = ("affine", "std", "hls-c")
-_DUMPS = ("scop", "deps", "bounds")
-# option -> (flag, where it acts): "pc" is compile mode on a .pc input,
-# "compile" compile mode on either input, "run" run mode on either input
-_SCOPES = {
-    "passes": (None, "pc"), "assume": ("--assume", "pc"),
-    "verify_each": ("--verify-each", "pc"), "emit": ("--emit", "compile"),
-    "dumps": ("--dump", "compile"), "set": ("--set", "run"), "init": ("--init", "run"),
-    "trace": ("--trace", "run"), "dump_arrays": ("--dump-arrays", "run"),
+# emit kind -> the text of the module (`scop`: the text of the SCoPs)
+_EMITS = {
+    "scop": lambda scops, module: "".join(dump_scop(scop) for scop in scops),
+    "affine": lambda scops, module: print_ir(module),
+    "std": lambda scops, module: hls.print_std(hls.lower_to_standard(module)),
+    "hls-c": lambda scops, module: hls.emit_c(hls.insert_directives(hls.partition(module))),
 }
-_NEEDS = {"pc": "a .pc input in compile mode", "compile": "compile mode", "run": "run mode"}
+# dump kind -> the text of one SCoP (`bounds`: the text of its module)
+_DUMPS = {
+    "scop": lambda scop, module: dump_scop(scop),
+    "deps": lambda scop, module: dump_deps(compute_dependences(scop)),
+    "bounds": lambda scop, module: dump_bounds(module),
+}
 
 
 def _check_flags(opts, air):
     """Reject every flag that the mode or the input kind cannot act on."""
     acting = {"run"} if opts["run"] else {"compile"} if air else {"compile", "pc"}
-    for key, (flag, scope) in _SCOPES.items():
-        if opts[key] and scope not in acting:
-            flag = flag or "-" + opts["passes"][0][0]
+    if opts["passes"] and "pc" not in acting:
+        raise _UserError("-%s needs %s" % (opts["passes"][0][0], _NEEDS["pc"]))
+    for flag, (key, _, scope) in _OPTIONS.items():
+        if scope and opts[key] and scope not in acting:
             raise _UserError("%s needs %s" % (flag, _NEEDS[scope]))
-    if opts["emit"] not in (None, "scop") + _MODULE_EMITS:
+    if opts["emit"] is not None and opts["emit"] not in _EMITS:
         raise _UserError("unknown emit kind %r" % opts["emit"])
     if air and opts["emit"] == "scop":
         raise _UserError("cannot emit 'scop' from an affine input")
@@ -203,37 +215,28 @@ def _check_flags(opts, air):
 
 def _compile(opts, obj):
     """Compile mode: (the `--dump` text, the `--emit` text)."""
-    dumps = []
-    emit = opts["emit"]
     if isinstance(obj, fe.Program):
-        scops, module = _compile_pc(opts, obj, dumps)
+        scops, modules = _compile_pc(opts, obj)
     else:
-        scops, module = None, obj
-        dumps.extend(dump_bounds(module) for _ in opts["dumps"])
-    text = ""
-    if emit == "scop":
-        text = "".join(dump_scop(scop) for scop in scops)
-    elif emit == "affine":
-        text = print_ir(module)
-    elif emit == "std":
-        text = hls.print_std(hls.lower_to_standard(module))
-    elif emit == "hls-c":
-        text = hls.emit_c(hls.insert_directives(hls.partition(module)))
-    return "".join(dumps), text
+        scops, modules = [None], [obj]
+    dumps = "".join(_DUMPS[d](scop, module) for d in opts["dumps"]
+                    for scop, module in zip(scops, modules))
+    emit = opts["emit"]
+    return dumps, _EMITS[emit](scops, modules[0]) if emit else ""
 
 
-def _compile_pc(opts, prog, out):
-    """Passes and dumps of a `.pc` program, the dumps appended to `out`;
-    returns the transformed SCoPs and the module to emit when `--emit`
-    asks for one."""
+def _compile_pc(opts, prog):
+    """The passes of a `.pc` program: its transformed SCoPs and, when a
+    dump or the emit reads them, their modules."""
     scops = build_scop(prog, opts["assume"])
     if not scops:
         raise _UserError("no #pragma scop region in input")
     emit = opts["emit"]
-    if emit in _MODULE_EMITS and len(scops) > 1:
+    module_emit = emit not in (None, "scop")
+    if module_emit and len(scops) > 1:
         raise _UserError("--emit=%s supports exactly one SCoP (input has %d)"
                          % (emit, len(scops)))
-    results, verified = [], []
+    results, modules = [], []
     for scop in scops:
         ref = _verify_snapshot(scop) if opts["verify_each"] and opts["passes"] else None
         module = None  # the module of the last verified pass
@@ -242,20 +245,10 @@ def _compile_pc(opts, prog, out):
             if ref is not None:
                 module = _verify_each(scop, name, ref)
         results.append(scop)
-        verified.append(module)
-    modules = None
-    if "bounds" in opts["dumps"] or emit in _MODULE_EMITS:
-        modules = [m or simplify_bounds(generate_loops(scop))
-                   for m, scop in zip(verified, results)]
-    for d in opts["dumps"]:
-        for k, scop in enumerate(results):
-            if d == "scop":
-                out.append(dump_scop(scop))
-            elif d == "deps":
-                out.append(dump_deps(compute_dependences(scop)))
-            else:
-                out.append(dump_bounds(modules[k]))
-    return results, modules[0] if emit in _MODULE_EMITS else None
+        modules.append(module)
+    if "bounds" in opts["dumps"] or module_emit:
+        modules = [m or simplify_bounds(generate_loops(scop)) for m, scop in zip(modules, results)]
+    return results, modules
 
 
 def _load_values(path, decl):

@@ -156,17 +156,10 @@ class _Parser:
             elem = INT64 if self.cur.next()[1] == "int" else FLOAT64
             pos = self.cur.peek()[2]
             name = self.cur.name(KEYWORDS, "name in declaration")
-            extents = []
-            while self.cur.peek()[1] == "[":
-                self.cur.next()
-                if self.cur.peek()[0] == "int":
-                    extents.append(self.cur.next()[1])
-                else:
-                    extents.append(self.cur.name(KEYWORDS, "size parameter or constant"))
-                self.cur.expect("]")
+            extents = parse_extents_at(self.cur, KEYWORDS, "size parameter or constant")
             self.cur.expect(";")
             if extents:
-                arrays.append(ArrayDecl(name, elem, tuple(extents)))
+                arrays.append(ArrayDecl(name, elem, extents))
             else:
                 if elem != INT64:
                     raise UnsupportedConstructError("size parameters must be int", *pos)
@@ -202,13 +195,7 @@ class _Parser:
     def block_or_stmt(self):
         if self.cur.peek()[1] == "{":
             self.cur.next()
-            body = []
-            while self.cur.peek()[1] != "}":
-                if self.cur.peek()[0] == "eof":
-                    self.cur.error("unterminated block")
-                body.append(self.stmt())
-            self.cur.next()
-            return tuple(body)
+            return self.cur.until("}", self.stmt, "unterminated block")
         return (self.stmt(),)
 
     def pragma(self):
@@ -326,9 +313,14 @@ class _Parser:
         return e
 
     def unary(self):
+        """``-x`` is ``-1 * x``, which keeps C's sign of zero (``0 - x`` does
+        not); a negated literal is a negative one, as its printed text reads."""
         if self.cur.peek()[1] == "-":
             self.cur.next()
-            return BinOp("-", IntLit(0), self.unary())
+            e = self.unary()
+            if isinstance(e, (IntLit, FloatLit)):
+                return type(e)(-e.value)
+            return BinOp("*", IntLit(-1), e)
         return self.primary()
 
     def primary(self):
@@ -368,6 +360,20 @@ def parse_assignment_at(cur):
     """Parse an assignment without its closing ``;`` at the cursor's
     current token (the body of an ``.air`` stmt)."""
     return _Parser(cur).assignment()
+
+
+def parse_extents_at(cur, reserved, what):
+    """The ``[extent]`` list of an array declaration at the cursor, as a
+    tuple: each an int or a name outside `reserved` (`what` in errors)."""
+    extents = []
+    while cur.peek()[1] == "[":
+        cur.next()
+        if cur.peek()[0] == "int":
+            extents.append(cur.next()[1])
+        else:
+            extents.append(cur.name(reserved, what))
+        cur.expect("]")
+    return tuple(extents)
 
 
 def _check_scop_pairing(body, depth=0, top=True):

@@ -250,9 +250,11 @@ def emit_c(p: HlsProgram) -> str:
     w("")
     w(_HELPERS)
     stmt_by_name = {s.name: s for s in p.stmts}
+    # each array's C shape: its `[e]` dims and its `e * e` size
+    dims = {a.name: ["[%s]" % e for e in a.extents] for a in p.arrays}
+    size = {a.name: " * ".join(str(e) for e in a.extents) for a in p.arrays}
     sym_params = ["long long %s" % s for s in p.symbols]
-    arr_params = ["%s %s%s" % (_c_elem(a.elem), a.name,
-                               "".join("[%s]" % e for e in a.extents))
+    arr_params = ["%s %s%s" % (_c_elem(a.elem), a.name, "".join(dims[a.name]))
                   for a in p.arrays]
     sig = "void %s_kernel(%s)" % (p.name, ", ".join(sym_params + arr_params))
     w(sig + " {")
@@ -262,17 +264,15 @@ def emit_c(p: HlsProgram) -> str:
         pad = "  " * ind
         for op in ops:
             if isinstance(op, CFor):
-                lo, up = fe.format_expr(op.lower, c=True), fe.format_expr(op.upper, c=True)
-                if _nontrivial_bound(op.lower):
-                    k = counter[0]
-                    counter[0] += 1
-                    w("%slong long lb%d = %s;" % (pad, k, lo))
-                    lo = "lb%d" % k
-                if _nontrivial_bound(op.upper):
-                    k = counter[0]
-                    counter[0] += 1
-                    w("%slong long ub%d = %s;" % (pad, k, up))
-                    up = "ub%d" % k
+                ends = []
+                for end, e in (("lb", op.lower), ("ub", op.upper)):
+                    text = fe.format_expr(e, c=True)
+                    if _nontrivial_bound(e):  # hoisted into a variable
+                        w("%slong long %s%d = %s;" % (pad, end, counter[0], text))
+                        text = "%s%d" % (end, counter[0])
+                        counter[0] += 1
+                    ends.append(text)
+                lo, up = ends
                 w("%sfor (long long %s = %s; %s <= %s; %s++) {%s"
                   % (pad, op.var, lo, op.var, up, op.var,
                      "  /* parallel */" if op.parallel else ""))
@@ -313,30 +313,26 @@ def emit_c(p: HlsProgram) -> str:
         w("  long long %s = atoll(argv[%d]);" % (s, i + 1))
     kinds = dict(p.transfers)
     for a in p.arrays:
-        size = " * ".join(str(e) for e in a.extents)
         et = _c_elem(a.elem)
-        w("  %s *%s_buf = calloc(%s, sizeof(%s));" % (et, a.name, size, et))
+        w("  %s *%s_buf = calloc(%s, sizeof(%s));" % (et, a.name, size[a.name], et))
     for a in p.arrays:
         if kinds[a.name] in ("in", "inout"):
-            size = " * ".join(str(e) for e in a.extents)
             fmt = "%lld" if a.elem == fe.INT64 else "%lf"
-            w("  for (long long k = 0; k < %s; k++) {" % size)
+            w("  for (long long k = 0; k < %s; k++) {" % size[a.name])
             w('    if (scanf("%s", &%s_buf[k]) != 1) {' % (fmt, a.name))
             w('      fprintf(stderr, "bad input for %s\\n");' % a.name)
             w("      return 1;")
             w("    }")
             w("  }")
     args = list(p.symbols) + [
-        "(%s (*)%s)%s_buf" % (_c_elem(a.elem),
-                              "".join("[%s]" % e for e in a.extents[1:]), a.name)
+        "(%s (*)%s)%s_buf" % (_c_elem(a.elem), "".join(dims[a.name][1:]), a.name)
         if len(a.extents) > 1 else "%s_buf" % a.name
         for a in p.arrays]
     w("  %s_kernel(%s);" % (p.name, ", ".join(args)))
     for a in p.arrays:
         if kinds[a.name] in ("out", "inout"):
-            size = " * ".join(str(e) for e in a.extents)
             fmt = "%lld" if a.elem == fe.INT64 else "%a"
-            w("  for (long long k = 0; k < %s; k++) {" % size)
+            w("  for (long long k = 0; k < %s; k++) {" % size[a.name])
             w('    printf("%s\\n", %s_buf[k]);' % (fmt, a.name))
             w("  }")
     w("  return 0;")

@@ -10,11 +10,11 @@ it, so print/parse round-trips are the identity.
 File extension: ``.air``.
 
 The text is read with the one tokenizer of :mod:`polyhls.lexer`, which the
-``.pc`` frontend and the affine map/set syntax share; a stmt body is parsed
-in place by the frontend assignment grammar, so its errors carry ``.air``
-line and column.  Float literals in stmt bodies are C decimal floats with
-an optional exponent (``0.5``, ``1e-05``, ``1e+17``), which covers every
-value Python's ``repr`` prints.
+``.pc`` frontend and the affine map/set syntax share; a stmt body and an
+array's extents are parsed in place by the frontend grammar, so their
+errors carry ``.air`` line and column.  Float literals in stmt bodies are C
+decimal floats with an optional exponent (``0.5``, ``1e-05``, ``1e+17``),
+which covers every value Python's ``repr`` prints.
 
 Grammar sketch::
 
@@ -218,13 +218,8 @@ class _IrParser:
                 arrays.append(self._array())
             else:
                 stmts.append(self._stmtdef())
-        body = []
-        while cur.peek()[1] != "}":
-            if cur.peek()[0] == "eof":
-                raise ParseError("unterminated module")
-            body.append(self._op())
-        cur.next()
-        return AffineIrModule(tuple(symbols), tuple(arrays), tuple(stmts), tuple(body))
+        body = cur.until("}", self._op, "unterminated module")
+        return AffineIrModule(tuple(symbols), tuple(arrays), tuple(stmts), body)
 
     def _array(self):
         name = self.cur.name()
@@ -232,17 +227,10 @@ class _IrParser:
         kind, elem, pos = self.cur.next()
         if elem not in (fe.INT64, fe.FLOAT64):
             raise ParseError("element type must be int64 or float64", *pos)
-        extents = []
-        while self.cur.peek()[1] == "[":
-            self.cur.next()
-            if self.cur.peek()[0] == "int":
-                extents.append(self.cur.next()[1])
-            else:
-                extents.append(self.cur.name(KEYWORDS, "array extent"))
-            self.cur.expect("]")
+        extents = fe.parse_extents_at(self.cur, KEYWORDS, "array extent")
         if not extents:
             raise ParseError("array %s needs at least one extent" % name)
-        return fe.ArrayDecl(name, elem, tuple(extents))
+        return fe.ArrayDecl(name, elem, extents)
 
     def _stmtdef(self):
         name = self.cur.name()
@@ -290,13 +278,7 @@ class _IrParser:
 
     def _block(self):
         self.cur.expect("{")
-        body = []
-        while self.cur.peek()[1] != "}":
-            if self.cur.peek()[0] == "eof":
-                raise ParseError("unterminated block")
-            body.append(self._op())
-        self.cur.next()
-        return tuple(body)
+        return self.cur.until("}", self._op, "unterminated block")
 
     def _ref(self, table, word, cls):
         """`#name(dims)[syms]`: the `word` ("map" or "set") `name` of

@@ -87,6 +87,18 @@ class Cursor:
             raise ParseError("expected %s, found %r" % (what, v), *pos)
         return v
 
+    def until(self, close, item, message):
+        """Call `item()` until the next token is `close`, then consume it;
+        returns the results as a tuple.  Reaching the end of the text first
+        is the error `message`."""
+        items = []
+        while self.peek()[1] != close:
+            if self.peek()[0] == "eof":
+                self.error(message)
+            items.append(item())
+        self.next()
+        return tuple(items)
+
     def names(self, open_b, close_b, reserved=()):
         """Consume a bracketed, comma-separated list of names; returns it."""
         names = []

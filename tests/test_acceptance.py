@@ -1,6 +1,7 @@
 """Acceptance suite: one test (and one printed pass/fail line) per
 criterion, each anchored to a published property of the pipeline."""
 
+import math
 import random
 import shutil
 import subprocess
@@ -149,7 +150,7 @@ def test_criterion_4_progressive_lowering_equivalence():
                     state = interp.run(rep, symbols, init)
                     for name, arr in ref.arrays.items():
                         if name in state.arrays and \
-                                state.arrays[name].data != arr.data:
+                                repr(state.arrays[name].data) != repr(arr.data):
                             ok = False
                             print("mismatch:", entry.name, pname, n,
                                   type(rep).__name__, name)
@@ -238,7 +239,8 @@ def _build_c(tmp_path, name, p):
 
 def _c_mismatches(exe, p, symbols, init):
     """Names of the output arrays on which `exe`, built from `p`, differs
-    bit for bit from `interp.run` of `p` under the bindings `symbols`."""
+    bit for bit (by `repr`, so -0.0 is not 0.0) from `interp.run` of `p`
+    under the bindings `symbols`."""
     want = interp.run(p, symbols, init)
     kinds = dict(p.transfers)
     stdin = [repr(v) for a in p.arrays if kinds[a.name] in ("in", "inout")
@@ -250,7 +252,8 @@ def _c_mismatches(exe, p, symbols, init):
     for a in p.arrays:
         if kinds[a.name] in ("out", "inout"):
             conv = int if a.elem == fe.INT64 else float.fromhex
-            if [conv(next(toks)) for _ in want.arrays[a.name].data] != want.arrays[a.name].data:
+            got = [conv(next(toks)) for _ in want.arrays[a.name].data]
+            if repr(got) != repr(want.arrays[a.name].data):
                 bad.append(a.name)
     return bad
 
@@ -314,8 +317,28 @@ def test_strided_kernel_matches_on_every_level(tmp_path):
             for rep in reps:
                 got = interp.run(rep, symbols, init).arrays
                 bad += [(pname, n, type(rep).__name__, a) for a in want
-                        if got[a].data != want[a].data]
+                        if repr(got[a].data) != repr(want[a].data)]
             if exe is not None:
                 bad += [(pname, n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
             checked += 1
     assert bad == [] and checked == 6
+
+
+def test_unary_minus_keeps_the_sign_of_zero(tmp_path):
+    # C's -x turns +0.0 into -0.0; every level and the C must do the same
+    prog = fe.parse_program("int N;\nfloat A[N];\nfloat B[N];\n#pragma scop\n"
+                            "for (i = 0; i < N; i++) {\n  B[i] = -A[i];\n}\n"
+                            "#pragma endscop\n")
+    scop = build_scop(prog)[0]
+    module = simplify_bounds(generate_loops(scop))
+    p = hls.insert_directives(hls.partition(module, scop.name))
+    symbols, init = {"N": 2}, {"A": [0.0, 2.0], "B": [0.0, 0.0]}
+    reps = {"Program": prog, "Scop": scop, "air": parse_ir(print_ir(module)),
+            "std": hls.lower_to_standard(module), "HLS": p}
+    signs = {name: [math.copysign(1, v) for v in interp.run(rep, symbols, init).arrays["B"].data]
+             for name, rep in reps.items()}
+    if shutil.which("cc"):
+        r = subprocess.run([_build_c(tmp_path, "negate", p), "2"], input="0.0 2.0",
+                           capture_output=True, text=True, check=True)
+        signs["C"] = [math.copysign(1, float.fromhex(t)) for t in r.stdout.split()]
+    assert signs == {rep: [-1, -1] for rep in signs}

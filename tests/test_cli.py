@@ -8,6 +8,25 @@ from polyhls import cli, ir, transforms
 
 import corpus
 
+# two `#pragma scop` regions: a 2-D stencil and a 1-D recurrence
+TWO_REGION = """\
+int N;
+float A[N][N];
+float B[N];
+#pragma scop
+for (i = 1; i < N; i++) {
+  for (j = 1; j < N; j++) {
+    A[i][j] = A[i-1][j] + A[i][j-1];
+  }
+}
+#pragma endscop
+#pragma scop
+for (i = 1; i < N; i++) {
+  B[i] = B[i-1] + 1.0;
+}
+#pragma endscop
+"""
+
 
 @pytest.fixture
 def pc_file(tmp_path):
@@ -71,6 +90,28 @@ class TestCompile:
     def test_help_wins_over_emit(self, pc_file, capsys, args):
         code, out, err = run_cli(capsys, pc_file, *args)
         assert code == 0 and out == cli._USAGE and err == ""
+
+    @pytest.mark.parametrize("order", [("bounds", "scop"), ("scop", "bounds")])
+    def test_two_scop_regions(self, capsys, tmp_path, order):
+        # each dump covers both SCoPs, the dumps follow flag order, then the emit
+        f = tmp_path / "two_region.pc"
+        f.write_text(TWO_REGION)
+        scops = run_cli(capsys, str(f), "-tile=4", "--emit=scop")[1]
+        assert scops.index("scop scop0") < scops.index("scop scop1")
+        assert run_cli(capsys, str(f), "-tile=4", "--dump=scop")[1] == scops
+        bounds = run_cli(capsys, str(f), "-tile=4", "--dump=bounds")[1]
+        assert bounds.startswith("tj: ") and "\nti: " in bounds
+        code, out, err = run_cli(capsys, str(f), "-tile=4",
+                                 *["--dump=" + d for d in order], "--emit=scop")
+        assert code == 0 and err == ""
+        assert out == "".join({"bounds": bounds, "scop": scops}[d] for d in order) + scops
+
+    def test_module_emit_of_two_scop_regions_is_user_error(self, capsys, tmp_path):
+        f = tmp_path / "two_region.pc"
+        f.write_text(TWO_REGION)
+        code, out, err = run_cli(capsys, str(f), "--emit=affine")
+        assert code == 1 and out == ""
+        assert err == "poly-hls: error: --emit=affine supports exactly one SCoP (input has 2)\n"
 
     def test_deterministic_output(self, pc_file, capsys):
         _, a, _ = run_cli(capsys, pc_file, "-tile=8,8", "-wavefront", "--emit=hls-c")

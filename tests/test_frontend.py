@@ -115,6 +115,22 @@ class TestPrintRoundTrip:
         p = fe.parse_program("int N;\n")
         assert fe.parse_program(fe.print_program(p)) == p
 
+    @pytest.mark.parametrize("text, tree", [
+        ("-A[i]", fe.BinOp("*", fe.IntLit(-1), fe.ArrayRef("A", (fe.Name("i"),)))),
+        ("-0.0", fe.FloatLit(-0.0)),
+        ("--2", fe.IntLit(2)),
+        ("-i * 3", fe.BinOp("*", fe.BinOp("*", fe.IntLit(-1), fe.Name("i")), fe.IntLit(3))),
+        ("3 * -(i + 1)", fe.BinOp("*", fe.IntLit(3), fe.BinOp(
+            "*", fe.IntLit(-1), fe.BinOp("+", fe.Name("i"), fe.IntLit(1))))),
+    ])
+    def test_unary_minus_round_trips(self, text, tree):
+        # -x is -1 * x (C's sign of zero); a negated literal is a negative literal
+        src = "int N;\nfloat A[N];\nfor (i = 0; i < N; i++) {\n  A[i] = %s;\n}\n" % text
+        p = fe.parse_program(src)
+        # by repr, since FloatLit(-0.0) == FloatLit(0.0)
+        assert repr(p.body[0].body[0].rhs) == repr(tree)
+        assert repr(fe.parse_program(fe.print_program(p))) == repr(p)
+
 
 def _random_program(rng):
     """Small random program generator for the round-trip property."""

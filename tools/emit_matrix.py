@@ -10,9 +10,12 @@ depth min(2, d) and at its full loop depth d (tile size 4), with
 `--emit=affine|std|hls-c`, `--dump=scop|deps|bounds` and `--verify-each
 --emit=affine`.  `stencil2d` also runs each malformed or illegal pass flag
 of FLAG_CASES (and `--help`) after `--emit=affine`, so every pass-flag
-message is pinned, and `--help` once before it.  Every stored
-`perfbench/air/*.air` module (read in place) runs with
-`--emit=affine|std|hls-c` and `--dump=bounds`.  Every `.pc` input and
+message is pinned, and `--help` once before it; it runs each option form
+of OPTION_CASES in compile mode and of RUN_OPTION_CASES in run mode, so
+every value form, kind check and mode check of an option is pinned.  Every
+stored `perfbench/air/*.air` module (read in place) runs with
+`--emit=affine|std|hls-c` and `--dump=bounds`, and AIR_FLAG_MODULE runs
+each flag of AIR_FLAG_CASES that needs a `.pc` input.  Every `.pc` input and
 every stored module also runs once as `run --trace --dump-arrays`, with
 every symbol set to 5, non-zero arrays and `POLYHLS_SEED=1`, so the
 interpreter gets the same check as the emitters.  Each file holds the
@@ -43,6 +46,11 @@ OUTPUTS = EMITS + ("--dump=scop", "--dump=deps", "--dump=bounds",
 AIR_OUTPUTS = EMITS + ("--dump=bounds",)
 FLAG_CASES = ("-tile=", "-tile=a", "-tile=0", "-tile", "-skew=1,2", "-skew=0,1,-1",
               "-wavefront=1", "-wavefront", "-tile=4,4 -subbb-tile=4,8", "--help")
+OPTION_CASES = ("--emit affine", "--dump scop", "--emit=bogus", "--dump=bogus", "--assume", "-o",
+                "-o=x.c", "--verify-each=1", "--set N=5", "--assume=N>=2 --dump=bounds -h")
+RUN_OPTION_CASES = ("--trace=1", "--emit=affine", "--set")
+AIR_FLAG_MODULE = "copy__none"
+AIR_FLAG_CASES = ("--dump=deps", "--emit=scop", "--assume N>=2", "-tile=4")
 RUN_SIZE = 5
 
 
@@ -125,12 +133,21 @@ def main(argv):
                 run(os.path.join(outdir, case_name(name + "__flags", output)),
                     [path] + output.split())
                 cases += 1
+            for output in OPTION_CASES:
+                run(os.path.join(outdir, case_name(name + "__options", output)),
+                    [path] + output.split())
+                cases += 1
+            for output in RUN_OPTION_CASES:
+                run(os.path.join(outdir, case_name(name + "__run-options", output)),
+                    ["run", path] + output.split())
+                cases += 1
     for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
         name = "air-" + os.path.basename(path)[:-4]
         with open(path) as f:
             run_mode(outdir, name, path, parse_ir(f.read()))
         cases += 1
-        for output in AIR_OUTPUTS:
+        flags = AIR_FLAG_CASES if name == "air-" + AIR_FLAG_MODULE else ()
+        for output in AIR_OUTPUTS + flags:
             run(os.path.join(outdir, case_name(name, output)), [path] + output.split())
             cases += 1
     print("%d cases written to %s" % (cases, outdir))
