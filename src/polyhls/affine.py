@@ -16,7 +16,7 @@ coefficient)`` div atoms (kinds ordered ceildiv < floordiv < mod), then the
 constant.  Tuples compare lexicographically, so a constant comes before any
 expression with a term, and ``s0`` before ``d0``.  This one key orders the
 terms of a printed expression and sorts and dedups the results of
-:meth:`IntegerSet.bounds_for_dim`, which fixes the order of the ``max`` /
+:meth:`IntegerSet.loop_bounds`, which fixes the order of the ``max`` /
 ``min`` results of every generated bound map.
 
 Constraint systems (:class:`IntegerSet`) store pure linear rows; div/mod
@@ -434,64 +434,36 @@ class IntegerSet:
         may keep a spurious point.  With no symbols the answer is exact
         (falls back to bounded enumeration).
         """
-        rows = self.rows
-        if any(_is_false_row(r) for r in rows):
-            return True
         if self.num_syms == 0:
-            return next(_scan(rows, self.num_dims + self.num_exists), None) is None
-        for col in range(self.num_dims + self.num_exists + self.num_syms):
-            rows = _eliminate_col(rows, 0)
-            if any(_is_false_row(r) for r in rows):
-                return True
-        return False
+            return next(_scan(self.rows, self.num_dims + self.num_exists), None) is None
+        return _var_range(_chain(self.rows, self.num_vars)[0]) is None
 
-    def const_range(self, dim):
-        """Constant (lo, hi) bounds of ``dim`` over the set's rational
-        shadow (plus per-row integer tightening): every other column,
-        symbols included, is eliminated as in `is_empty`.  A side with no
-        constant bound is None; the result is None when the elimination
-        proves the set empty.  ``lo == hi`` fixes the dim on every point."""
-        if not 0 <= dim < self.num_dims:
-            raise ArityMismatchError("dim %d out of range" % dim)
-        rows = self.rows
-        for k in range(self.num_vars - 1):
-            rows = _eliminate_col(rows, 0 if k < dim else 1)
-        return _var_range(rows)
+    def where(self, constraints):
+        """The set cut by (AffineExpr, kind) constraints over its dims and
+        symbols."""
+        return self.intersect(IntegerSet.from_constraints(self.num_dims, self.num_syms, constraints))
 
-    def bounds_for_dim(self, dim):
-        """Symbolic (lowers, uppers) for ``dim`` in terms of outer dims and
-        symbols; dims after ``dim`` and all existentials are eliminated
-        internally.  Scanning [max(lowers), min(uppers)] reproduces the
-        set's points for each outer assignment (exact on div-free sets).
-        """
-        if not 0 <= dim < self.num_dims:
-            raise ArityMismatchError("dim %d out of range" % dim)
-        rows = self.rows
-        # eliminate existentials, then inner dims (column indices shift as
-        # we go, so walk from the back)
-        nd = self.num_dims
-        for col in range(nd + self.num_exists - 1, dim, -1):
-            rows = _eliminate_col(rows, col)
-        if any(_is_false_row(r) for r in rows):
-            return ([], [])
-        lowers, uppers = [], []
-        for coeffs, is_eq in rows:
-            a = coeffs[dim]
-            if a == 0:
-                continue
-            # a*x + rest >= 0 (== 0 for an equality, which bounds both ways)
-            rest = _linear(coeffs[:dim], coeffs[dim + 1:-1], coeffs[-1])
-            for a2, rest2 in [(a, rest)] + ([(-a, -rest)] if is_eq else []):
-                if a2 > 0:
-                    lowers.append(-rest2 if a2 == 1 else ceildiv(-rest2, a2))
-                else:
-                    uppers.append(rest2 if a2 == -1 else floordiv(rest2, -a2))
-        lowers = sorted(set(lowers))
-        uppers = sorted(set(uppers))
-        if not lowers or not uppers:
-            side = "lower" if not lowers else "upper"
-            raise UnboundedDimensionError("dim %d has no finite %s bound" % (dim, side))
-        return lowers, uppers
+    def range_of(self, expr):
+        """Constant (lo, hi) bounds of `expr` over the set's rational
+        shadow (plus per-row integer tightening): a new dim 0 equal to
+        `expr` is bounded after every other column, symbols included, is
+        eliminated.  A side with no constant bound is None; the result is
+        None when the elimination proves the set empty.  ``lo == hi`` fixes
+        `expr` on every point."""
+        s = self.insert_dims(0, 1).where([(DimRef(0) - expr.insert_dims(0, 1), EQ)])
+        return _var_range(_chain(s.rows, s.num_vars)[0])
+
+    def loop_bounds(self, depth):
+        """Symbolic (lowers, uppers) of each of the first `depth` dims, in
+        terms of the dims before it and the symbols, read off one
+        projection chain.  Scanning [max(lowers), min(uppers)] at each dim
+        reproduces the set's points for each outer assignment (exact on
+        div-free sets); a dim whose link the elimination proves empty gets
+        ``([], [])``."""
+        if not 0 <= depth <= self.num_dims:
+            raise ArityMismatchError("depth %d out of range" % depth)
+        chain = _chain(self.rows, self.num_dims + self.num_exists)
+        return [_dim_bounds(chain[dim], dim) for dim in range(depth)]
 
     def insert_dims(self, at, count):
         """Add ``count`` fresh unconstrained dims at position ``at``."""
@@ -516,6 +488,29 @@ class IntegerSet:
 
     def __str__(self):
         return format_set(self)
+
+
+def _dim_bounds(rows, dim):
+    """(lowers, uppers) of variable `dim` in rows over variables 0..dim and
+    the symbols; ``([], [])`` when a row is false."""
+    if any(_is_false_row(r) for r in rows):
+        return ([], [])
+    lowers, uppers = [], []
+    for coeffs, is_eq in rows:
+        a = coeffs[dim]
+        if a == 0:
+            continue
+        # a*x + rest >= 0 (== 0 for an equality, which bounds both ways)
+        rest = _linear(coeffs[:dim], coeffs[dim + 1:-1], coeffs[-1])
+        for a2, rest2 in [(a, rest)] + ([(-a, -rest)] if is_eq else []):
+            if a2 > 0:
+                lowers.append(-rest2 if a2 == 1 else ceildiv(-rest2, a2))
+            else:
+                uppers.append(rest2 if a2 == -1 else floordiv(rest2, -a2))
+    if not lowers or not uppers:
+        side = "lower" if not lowers else "upper"
+        raise UnboundedDimensionError("dim %d has no finite %s bound" % (dim, side))
+    return sorted(set(lowers)), sorted(set(uppers))
 
 
 def _var_range(rows):
@@ -561,22 +556,30 @@ def _fold(rows, front, back):
     return out
 
 
-def _scan(rows, nvars):
-    """The integer points of `rows` over `nvars` variables (no symbols), in
-    lexicographic order.
-
-    The Fourier-Motzkin projection chain is built once: ``chain[k]`` holds
-    the rows over variables ``0..k``, made by eliminating columns from the
-    back.  Each variable's range is the rows of its link evaluated at the
-    current prefix.  The last link is `rows` itself, so the last variable's
-    range satisfies every row at the prefix and every point yielded is in
-    the set."""
-    if any(_is_false_row(r) for r in rows):
-        return
+def _chain(rows, nvars):
+    """The Fourier-Motzkin projection chain of `rows` over their first
+    `nvars` variable columns: link ``k`` holds the rows over variables
+    ``0..k`` (and every column after the first `nvars`), made by
+    eliminating columns from the back, so the last link is `rows` itself.
+    This is the one place that eliminates a run of columns."""
     chain = [rows]
     for col in range(nvars - 1, 0, -1):
         chain.append(_eliminate_col(chain[-1], col))
     chain.reverse()
+    return chain
+
+
+def _scan(rows, nvars):
+    """The integer points of `rows` over `nvars` variables (no symbols), in
+    lexicographic order.
+
+    Each variable's range is the rows of its `_chain` link evaluated at
+    the current prefix.  The last link is `rows` itself, so the last
+    variable's range satisfies every row at the prefix and every point
+    yielded is in the set."""
+    if any(_is_false_row(r) for r in rows):
+        return
+    chain = _chain(rows, nvars)
 
     def walk(k, prefix):
         bounds = _var_range([((coeffs[k], coeffs[-1] + sum(map(mul, coeffs, prefix))), is_eq)

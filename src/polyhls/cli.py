@@ -200,7 +200,8 @@ def _check_flags(opts, air):
     if opts["passes"] and "pc" not in acting:
         raise _UserError("-%s needs %s" % (opts["passes"][0][0], _NEEDS["pc"]))
     for flag, (key, _, scope) in _OPTIONS.items():
-        if scope and opts[key] and scope not in acting:
+        # given: no longer its default (None, False or [])
+        if scope and opts[key] not in (None, False, []) and scope not in acting:
             raise _UserError("%s needs %s" % (flag, _NEEDS[scope]))
     if opts["emit"] is not None and opts["emit"] not in _EMITS:
         raise _UserError("unknown emit kind %r" % opts["emit"])
@@ -289,7 +290,7 @@ def _run_mode(opts, obj):
     out = []
     if opts["trace"]:
         for name, idxs in state.trace:
-            out.append("%s(%s)" % (name, ", ".join(str(v) for v in idxs)))
+            out.append(interp.format_instance(name, idxs))
     if opts["dump_arrays"]:
         for name in sorted(state.arrays):
             a = state.arrays[name]
@@ -320,8 +321,11 @@ def main(argv=None):
         dumps, output = ("", _run_mode(opts, obj)) if opts["run"] else _compile(opts, obj)
         sys.stdout.write(dumps)
         if opts["out"] is not None:
-            with open(opts["out"], "w") as f:
-                f.write(output)
+            try:
+                with open(opts["out"], "w") as f:
+                    f.write(output)
+            except OSError as e:
+                raise _UserError("cannot write %s: %s" % (opts["out"], e))
         else:
             sys.stdout.write(output)
         return 0

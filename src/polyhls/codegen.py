@@ -10,6 +10,8 @@ domain separation is attempted.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .affine import EQ, INEQ, AffineMap, DimRef, IntegerSet
 from .errors import CodegenError
 from .ir import AffineIrModule, Call, For, If, MapRef, SetRef, StmtDef
@@ -21,13 +23,9 @@ def _scan_set(scop, stmt):
     one equality per loop level tying the time dim to the schedule."""
     levels = scop.loop_levels()
     L = len(levels)
-    nd = stmt.domain.num_dims
-    base = stmt.domain.insert_dims(0, L)
-    cons = []
-    for i, lvl in enumerate(levels):
-        cons.append((DimRef(i) - stmt.schedule.results[lvl].insert_dims(0, L), EQ))
-    ties = IntegerSet.from_constraints(L + nd, len(scop.symbols), cons)
-    return base.intersect(ties)
+    return stmt.domain.insert_dims(0, L).where(
+        [(DimRef(i) - stmt.schedule.results[lvl].insert_dims(0, L), EQ)
+         for i, lvl in enumerate(levels)])
 
 
 def _stmt_is_empty(scop, stmt):
@@ -85,14 +83,13 @@ def _guard_setref(scop, stmt, var_names, dim_level):
 def generate_loops(scop):
     """Affine IR executing exactly the Scop's instances in
     schedule-lexicographic order (parallel levels excepted)."""
-    if not scop.statements:
-        return AffineIrModule(tuple(scop.symbols), tuple(scop.arrays), (), ())
     stmts = [s for s in scop.statements if not _stmt_is_empty(scop, s)]
     levels = scop.loop_levels()
     level_loop_index = {lvl: i for i, lvl in enumerate(levels)}
     depth = scop.time_depth
     syms = tuple(scop.symbols)
-    scan_sets = {s.name: _scan_set(scop, s) for s in stmts}
+    # statement -> the (lowers, uppers) of each loop level
+    bounds_of = {s.name: _scan_set(scop, s).loop_bounds(len(levels)) for s in stmts}
     reserved = set(syms) | {a.name for a in scop.arrays}
 
     # domain dim -> loop level (for call operands and guards)
@@ -133,16 +130,11 @@ def generate_loops(scop):
             raise CodegenError(
                 "mixed constant/loop schedule results at time level %d" % level)
         li = level_loop_index[level]
-        bounds = None
-        for s in group:
-            b = scan_sets[s.name].bounds_for_dim(li)
-            if bounds is None:
-                bounds = b
-            elif b != bounds:
-                raise CodegenError(
-                    "statements %s share a loop level with differing bounds"
-                    % [s.name for s in group])
-        lo, up = bounds
+        lo, up = bounds_of[group[0].name][li]
+        if any(bounds_of[s.name][li] != (lo, up) for s in group):
+            raise CodegenError(
+                "statements %s share a loop level with differing bounds"
+                % [s.name for s in group])
         var = _level_var_name(group, level, li, set(var_names), reserved)
         operands = tuple(var_names[:li])
         lb = MapRef(AffineMap(li, len(syms), tuple(lo)), operands, syms)
@@ -150,12 +142,10 @@ def generate_loops(scop):
         body = gen(group, level + 1, var_names + [var])
         return (For(var, lb, ub, level in scop.parallel_levels, body),)
 
-    body = gen(stmts, 0, []) if stmts else ()
-    from dataclasses import replace as _dc_replace
     defs = tuple(StmtDef(s.name, tuple(s.dim_names[d] for d in s.body_dims),
-                         _dc_replace(s.body, label=""))
+                         replace(s.body, label=""))
                  for s in stmts)
-    return AffineIrModule(syms, tuple(scop.arrays), defs, body)
+    return AffineIrModule(syms, tuple(scop.arrays), defs, gen(stmts, 0, []))
 
 
 def dump_bounds(module):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import EQ, INEQ, DimRef, IntegerSet, format_set
+from .affine import EQ, INEQ, IntegerSet, format_set
 
 FLOW = "flow"
 ANTI = "anti"
@@ -73,8 +73,8 @@ def relations(scop):
                 order.append((IntegerSet.from_constraints(dp + dq, ns, [(diff - 1, INEQ)]),
                               IntegerSet.from_constraints(dp + dq, ns, [(diff, EQ)])))
             for kind, ap, aq in pairs:
-                prefix = both.intersect(IntegerSet.from_constraints(dp + dq, ns, [
-                    (ep - eq_.insert_dims(0, dp), EQ) for ep, eq_ in zip(ap.results, aq.results)]))
+                prefix = both.where([(ep - eq_.insert_dims(0, dp), EQ)
+                                     for ep, eq_ in zip(ap.results, aq.results)])
                 for level, (strict, equal) in enumerate(order):
                     rel = prefix.intersect(strict)
                     if not rel.is_empty():
@@ -90,16 +90,12 @@ def time_difference(sp, sq, level):
 
 def _distance(rel, sp, sq, loop_levels):
     """Per-loop-level time difference when it is one constant over the
-    relation, else None.  Each level's difference becomes one extra dim,
-    whose constant bounds are read off the projection onto it; they hold
-    on a rational superset of the relation, so equal bounds are exact."""
-    nd = rel.num_dims
-    ext = rel.insert_dims(nd, 1)
+    relation, else None.  `IntegerSet.range_of` reads each level's
+    difference off a projection; its bounds hold on a rational superset of
+    the relation, so equal bounds are exact."""
     dist = []
     for level in loop_levels:
-        diff = time_difference(sp, sq, level)
-        bounds = ext.intersect(IntegerSet.from_constraints(
-            nd + 1, rel.num_syms, [(DimRef(nd) - diff, EQ)])).const_range(nd)
+        bounds = rel.range_of(time_difference(sp, sq, level))
         if bounds is None or bounds[0] is None or bounds[0] != bounds[1]:
             return None
         dist.append(bounds[0])

@@ -124,6 +124,11 @@ def make_machine(symbols, array_decls, init=None, trace=False, shuffle_seed=None
 # statement-template execution (shared by all representations)
 
 
+def format_instance(name, idxs):
+    """``S1(0, 2)``: one statement instance as `--trace` prints it."""
+    return "%s(%s)" % (name, ", ".join(str(v) for v in idxs))
+
+
 def _exec_assign(assign, env, machine, name, idxs):
     """Run one instance `name(idxs)` of `assign`; `env` binds every name
     its expressions read."""
@@ -134,7 +139,7 @@ def _exec_assign(assign, env, machine, name, idxs):
         subs = [fe.evaluate(s, env, load) for s in assign.ref.subs]
         arr.store(subs, fe.evaluate(assign.rhs, env, load))
     except InterpError as e:
-        raise InterpError("%s at %s%s" % (e, name, idxs)) from None
+        raise InterpError("%s at %s" % (e, format_instance(name, idxs))) from None
 
 
 # ---------------------------------------------------------------------------

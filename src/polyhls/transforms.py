@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .affine import INEQ, AffineMap, Const, DimRef, IntegerSet
+from .affine import INEQ, AffineMap, Const, DimRef
 from .dependence import relations, time_difference
 from .errors import IllegalTilingError, ArityMismatchError
 
@@ -35,8 +35,7 @@ def _first_violation(rels, rows):
     for sp, sq, kind, level, rel in rels:
         for lvl, diff, least in rows(sp, sq, level):
             # infeasibility of diff <= least - 1 proves diff >= least
-            test = rel.intersect(IntegerSet.from_constraints(
-                rel.num_dims, rel.num_syms, [(least - 1 - diff, INEQ)]))
+            test = rel.where([(least - 1 - diff, INEQ)])
             if not test.is_empty():
                 return sp, sq, kind, lvl, test
     return None
@@ -66,15 +65,15 @@ def _rejection(scop, message, found):
 
 
 def _tile_box(sched, band_levels, sizes):
-    """``s*T_k <= phi_k <= s*T_k + s - 1`` for the schedule row phi_k of
-    each band level, tile dim T_k = d_k and size s, over the dims of
-    `sched`."""
+    """The constraints ``s*T_k <= phi_k <= s*T_k + s - 1`` for the schedule
+    row phi_k of each band level, tile dim T_k = d_k and size s, over the
+    dims of `sched`."""
     cons = []
     for k, (lvl, size) in enumerate(zip(band_levels, sizes)):
         row = sched.results[lvl]
         cons.append((row - DimRef(k) * size, INEQ))
         cons.append((DimRef(k) * size + size - 1 - row, INEQ))
-    return IntegerSet.from_constraints(sched.num_dims, sched.num_syms, cons)
+    return cons
 
 
 def tile(scop, spec):
@@ -115,7 +114,7 @@ def tile(scop, spec):
         sched = s.schedule.insert_dims(0, m)
         new_stmts.append(replace(
             s,
-            domain=s.domain.insert_dims(0, m).intersect(_tile_box(sched, band_levels, sizes)),
+            domain=s.domain.insert_dims(0, m).where(_tile_box(sched, band_levels, sizes)),
             dim_names=tuple("t" + s.dim_names[d] for d in s.body_dims[-m:]) + s.dim_names,
             schedule=AffineMap(sched.num_dims, sched.num_syms, tuple(prefix) + sched.results),
             writes=tuple((a, mp.insert_dims(0, m)) for a, mp in s.writes),
@@ -196,7 +195,7 @@ def sub_bounding_box_tile(scop, spec):
     new_stmts = []
     for s in scop.statements:
         box = _tile_box(s.schedule, band_levels, sizes)
-        if s.domain.intersect(box) != s.domain:
+        if s.domain.where(box) != s.domain:
             raise IllegalTilingError("statement %s: the band rows differ from the rows it "
                                      "was tiled by" % s.name)
         point_dims = sorted({d for lvl in band_levels for d, _ in s.schedule.results[lvl].dims})
@@ -211,5 +210,5 @@ def sub_bounding_box_tile(scop, spec):
             orig = orig.project(0)
         orig = orig.insert_dims(0, m)
         guard = orig if s.guard is None else orig.intersect(s.guard)
-        new_stmts.append(replace(s, domain=emb.intersect(box), guard=guard))
+        new_stmts.append(replace(s, domain=emb.where(box), guard=guard))
     return replace(scop, statements=tuple(new_stmts))

@@ -186,35 +186,54 @@ class TestIsEmpty:
 
 
 class TestConstRange:
+    """`IntegerSet.range_of`: the constant range of an expression."""
+
     def test_difference_fixed_over_symbolic_set(self):
-        # {(i, j, d) : 0 <= i < N, j = i + 2, d = j - i}
+        # {(i, j) : 0 <= i < N, j = i + 2}: j - i is 2
         cons = [(DimRef(0), INEQ), (SymRef(0) - DimRef(0) - 1, INEQ),
-                (DimRef(1) - DimRef(0) - 2, EQ), (DimRef(2) - DimRef(1) + DimRef(0), EQ)]
-        s = IntegerSet.from_constraints(3, 1, cons)
-        assert s.const_range(2) == (2, 2)
-        assert s.const_range(0) == (0, None)
+                (DimRef(1) - DimRef(0) - 2, EQ)]
+        s = IntegerSet.from_constraints(2, 1, cons)
+        assert s.range_of(DimRef(1) - DimRef(0)) == (2, 2)
+        assert s.range_of(DimRef(0)) == (0, None)
 
     def test_integer_tightening(self):
         # {(i, d) : 0 <= i <= 5, 2d = i}: d <= 5/2 tightens to 2
         cons = [(DimRef(0), INEQ), (5 - DimRef(0), INEQ),
                 (DimRef(0) - DimRef(1) * 2, EQ)]
-        assert IntegerSet.from_constraints(2, 0, cons).const_range(1) == (0, 2)
+        assert IntegerSet.from_constraints(2, 0, cons).range_of(DimRef(1)) == (0, 2)
 
     def test_empty(self):
-        assert box([(1, 0)]).const_range(0) is None
-        assert box([(0, 3), (2, 1)]).const_range(0) is None
+        assert box([(1, 0)]).range_of(DimRef(0)) is None
+        assert box([(0, 3), (2, 1)]).range_of(DimRef(0)) is None
 
     def test_dim_out_of_range(self):
-        with pytest.raises(ArityMismatchError):
-            box([(0, 1)]).const_range(1)
+        with pytest.raises(MalformedExpressionError):
+            box([(0, 1)]).range_of(DimRef(1))
+        with pytest.raises(MalformedExpressionError):
+            box([(0, 1)], num_syms=1).range_of(DimRef(0) + SymRef(1))
+
+    def test_difference_over_two_instances(self):
+        # two instances i, i' of one tile 0 <= i, i' <= 3: the footprint
+        # extent of A[i] is the range of i - i', plus one
+        s = box([(0, 3), (0, 3)])
+        assert s.range_of(DimRef(0) - DimRef(1)) == (-3, 3)
+        # (T, i, i'): both instances of 0 <= i < N in tile T of size 4
+        cons = []
+        for d in (1, 2):
+            cons += [(DimRef(d), INEQ), (SymRef(0) - 1 - DimRef(d), INEQ),
+                     (DimRef(d) - DimRef(0) * 4, INEQ), (DimRef(0) * 4 + 3 - DimRef(d), INEQ)]
+        pair = IntegerSet.from_constraints(3, 1, cons)
+        assert pair.range_of(DimRef(1) - DimRef(2)) == (-3, 3)
 
 
 class TestBoundsForDim:
+    """`IntegerSet.loop_bounds`: the symbolic bounds of each outer dim."""
+
     def test_symbolic_box(self):
         cons = [(DimRef(0) - 1, INEQ),
                 (SymRef(0) + (DimRef(0) * -1 - 1), INEQ)]
         s = IntegerSet.from_constraints(1, 1, cons)
-        lo, up = s.bounds_for_dim(0)
+        [(lo, up)] = s.loop_bounds(1)
         assert [format_expr(e) for e in lo] == ["1"]
         assert [format_expr(e) for e in up] == ["s0 - 1"]
 
@@ -223,7 +242,7 @@ class TestBoundsForDim:
         cons = [(DimRef(0), INEQ),
                 (7 - DimRef(0) * 2, INEQ)]
         s = IntegerSet.from_constraints(1, 0, cons)
-        lo, up = s.bounds_for_dim(0)
+        [(lo, up)] = s.loop_bounds(1)
         assert [eval_expr(e) for e in lo] == [0]
         assert [eval_expr(e) for e in up] == [3]
 
@@ -231,7 +250,12 @@ class TestBoundsForDim:
         cons = [(DimRef(0), INEQ)]
         s = IntegerSet.from_constraints(1, 0, cons)
         with pytest.raises(UnboundedDimensionError):
-            s.bounds_for_dim(0)
+            s.loop_bounds(1)
+
+    def test_depth_out_of_range(self):
+        assert box([(0, 1)]).loop_bounds(0) == []
+        with pytest.raises(ArityMismatchError):
+            box([(0, 1)]).loop_bounds(2)
 
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 5)),
                     min_size=2, max_size=3))
@@ -239,12 +263,13 @@ class TestBoundsForDim:
     def test_scan_reconstruction_on_boxes(self, bs):
         bounds = [(a, a + w) for a, w in bs]
         s = box(bounds)
+        per_dim = s.loop_bounds(len(bounds))
 
         def scan(k, outer):
             if k == len(bounds):
                 yield tuple(outer)
                 return
-            lo, up = s.bounds_for_dim(k)
+            lo, up = per_dim[k]
             a = max(eval_expr(e, outer) for e in lo)
             b = min(eval_expr(e, outer) for e in up)
             for v in range(a, b + 1):

@@ -76,6 +76,13 @@ class TestCompile:
         assert code == 0 and out == ""
         assert "module {" in dest.read_text()
 
+    @pytest.mark.parametrize("dest", ["missing/x.c", ""], ids=["no-dir", "empty"])
+    def test_unwritable_output_is_user_error(self, pc_file, capsys, tmp_path, dest):
+        path = str(tmp_path / dest) if dest else dest
+        code, out, err = run_cli(capsys, pc_file, "--emit=affine", "-o", path)
+        assert code == 1 and out == ""
+        assert err.startswith("poly-hls: error: cannot write %s: " % path)
+
     def test_dumps_stay_on_stdout_with_output_file(self, pc_file, capsys, tmp_path):
         dest = tmp_path / "k.c"
         code, out, _ = run_cli(capsys, pc_file, "--dump=deps", "--emit=hls-c", "-o", str(dest))
@@ -267,6 +274,14 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == "poly-hls: error: after tile: interpreter mismatch at N=5, M=10\n"
 
+    def test_verify_each_out_of_bounds_names_instance(self, capsys, tmp_path):
+        src = tmp_path / "shifted.pc"
+        src.write_text("int N;\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++) {\n"
+                       "  A[i+N] = 1.0;\n}\n#pragma endscop\n")
+        code, out, err = run_cli(capsys, str(src), "-tile=4", "--verify-each", "--emit=affine")
+        assert code == 1 and out == ""
+        assert err == "poly-hls: error: array A: index [5] out of bounds [5] at S1(0)\n"
+
     def test_verify_each_without_a_binding_is_user_error(self, pc_file, capsys):
         code, _, err = run_cli(capsys, pc_file, "-tile=4,4", "--assume", "N >= 16",
                                "--verify-each", "--emit=affine")
@@ -328,7 +343,7 @@ class TestErrors:
         assert "error: %s needs a .pc input" % flags[0] in err
 
     @pytest.mark.parametrize("flag", ["-tile=4", "--emit=std", "--dump=deps", "--assume=N>=2",
-                                      "--verify-each"])
+                                      "--verify-each", "--emit=", "--dump="])
     def test_compile_flag_in_run_mode(self, capsys, tmp_path, flag):
         code, out, err = run_cli(capsys, "run", corpus_file(tmp_path, corpus.COPY),
                                  "--set", "N=3", flag)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from polyhls import frontend as fe, hls, interp
+from polyhls import affine, frontend as fe, hls, interp
 from polyhls.affine import eval_expr
-from polyhls.codegen import dump_bounds, generate_loops, simplify_bounds
+from polyhls.codegen import _scan_set, dump_bounds, generate_loops, simplify_bounds
 from polyhls.errors import CodegenError
 from polyhls.ir import For, parse_ir, print_ir, verify_ir
 from polyhls.scop import build_scop
@@ -60,9 +60,31 @@ class TestUntransformed:
     def test_empty_scop(self):
         scop = build_scop(fe.parse_program("int N;\n#pragma scop\n#pragma endscop\n"))[0]
         assert generate_loops(scop).body == ()
+        scop = build_scop(fe.parse_program("int N;\nfloat A[N];\n#pragma scop\n"
+                                           "#pragma endscop\n"))[0]
+        m = generate_loops(scop)
+        assert (m.symbols, m.stmts, m.body) == (("N",), (), ())
+        assert print_ir(m) == "module {\n  symbol N\n  array A : float64 [N]\n}\n"
 
 
 class TestTiledBounds:
+    def test_one_projection_chain_per_set(self, monkeypatch):
+        # each statement projects its emptiness set (domain and context)
+        # and its scan set once, whatever the number of loop levels
+        scop = tile(build_scop(fe.parse_program(corpus.MATMUL.source))[0], TilingSpec((4, 4, 4)))
+        real = affine._eliminate_col
+        calls = []
+
+        def counted(rows, col):
+            calls.append(col)
+            return real(rows, col)
+
+        monkeypatch.setattr(affine, "_eliminate_col", counted)
+        generate_loops(scop)
+        scans = [_scan_set(scop, s) for s in scop.statements]
+        assert 0 < len(calls) <= sum(s.domain.num_vars - 1 + scan.num_dims + scan.num_exists - 1
+                                     for s, scan in zip(scop.statements, scans))
+
     def test_wavefront_t2_bounds_at_n40(self):
         scop = build_scop(fe.parse_program(corpus.STENCIL2D.source))[0]
         scop = wavefront_parallelize(tile(scop, TilingSpec((32, 32))))

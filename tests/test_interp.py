@@ -48,6 +48,15 @@ class TestRunSource:
         with pytest.raises(InterpError, match="out of bounds"):
             interp.run(fe.parse_program(src), {"N": 3})
 
+    def test_error_names_instance_as_trace_does(self):
+        src = ("int N;\nint A[N];\n#pragma scop\n"
+               "for (i = 0; i < N; i++) { A[i+N] = 0; }\n#pragma endscop\n")
+        prog = fe.parse_program(src)
+        for rep in (prog, build_scop(prog)[0]):
+            with pytest.raises(InterpError) as e:
+                interp.run(rep, {"N": 3})
+            assert str(e.value) == "array A: index [3] out of bounds [3] at S1(0)"
+
     def test_unbound_symbol(self):
         with pytest.raises(InterpError):
             interp.run(stencil_prog(), {})

@@ -245,11 +245,11 @@ class TestWavefront:
 
 def test_transforms_compute_no_distance(monkeypatch):
     # legality and parallelism need only the relations; a distance is read
-    # off `const_range`, so the transforms must never call it
+    # off `range_of`, so the transforms must never call it
     def no_distance(*args):
         raise AssertionError("a transform computed a distance")
 
-    monkeypatch.setattr(IntegerSet, "const_range", no_distance)
+    monkeypatch.setattr(IntegerSet, "range_of", no_distance)
     scop = wavefront_parallelize(tile(stencil(), TilingSpec((4, 4))))
     assert scop.parallel_levels
     sub_bounding_box_tile(stencil(), TilingSpec((4, 4)))

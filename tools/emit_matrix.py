@@ -48,7 +48,7 @@ FLAG_CASES = ("-tile=", "-tile=a", "-tile=0", "-tile", "-skew=1,2", "-skew=0,1,-
               "-wavefront=1", "-wavefront", "-tile=4,4 -subbb-tile=4,8", "--help")
 OPTION_CASES = ("--emit affine", "--dump scop", "--emit=bogus", "--dump=bogus", "--assume", "-o",
                 "-o=x.c", "--verify-each=1", "--set N=5", "--assume=N>=2 --dump=bounds -h")
-RUN_OPTION_CASES = ("--trace=1", "--emit=affine", "--set")
+RUN_OPTION_CASES = ("--trace=1", "--emit=affine", "--emit=", "--set")
 AIR_FLAG_MODULE = "copy__none"
 AIR_FLAG_CASES = ("--dump=deps", "--emit=scop", "--assume N>=2", "-tile=4")
 RUN_SIZE = 5
