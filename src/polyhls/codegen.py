@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from . import frontend as fe
 from .affine import EQ, INEQ, AffineMap, DimRef, IntegerSet
 from .errors import CodegenError
 from .ir import AffineIrModule, Call, For, If, MapRef, SetRef, StmtDef
@@ -150,21 +151,10 @@ def generate_loops(scop):
 
 def dump_bounds(module):
     """`--dump=bounds`: per-loop lower/upper map results."""
-    lines = []
-
-    def walk(ops, depth):
-        for op in ops:
-            if isinstance(op, For):
-                lines.append("%s%s: lb max%s  ub min%s" % (
-                    "  " * depth, op.var,
-                    [str(r) for r in op.lb.map.results],
-                    [str(r) for r in op.ub.map.results]))
-                walk(op.body, depth + 1)
-            elif isinstance(op, If):
-                walk(op.then, depth)
-                walk(op.els, depth)
-
-    walk(module.body, 0)
+    lines = ["%s%s: lb max%s  ub min%s" % (
+        "  " * sum(isinstance(o, For) for o in path), op.var,
+        [str(r) for r in op.lb.map.results], [str(r) for r in op.ub.map.results])
+        for op, path in fe.walk(module.body) if isinstance(op, For)]
     return "\n".join(lines) + "\n"
 
 

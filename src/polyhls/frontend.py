@@ -156,6 +156,8 @@ class _Parser:
             elem = INT64 if self.cur.next()[1] == "int" else FLOAT64
             pos = self.cur.peek()[2]
             name = self.cur.name(KEYWORDS, "name in declaration")
+            if name in symbols or name in [a.name for a in arrays]:
+                raise ParseError("duplicate declaration of %r" % name, *pos)
             extents = parse_extents_at(self.cur, KEYWORDS, "size parameter or constant")
             self.cur.expect(";")
             if extents:
@@ -171,9 +173,6 @@ class _Parser:
             for e in a.extents:
                 if isinstance(e, str) and e not in symbols:
                     raise ParseError("array %s uses undeclared size parameter %s" % (a.name, e))
-        names = [a.name for a in arrays]
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate array declaration")
         return Program(tuple(symbols), tuple(arrays), tuple(body))
 
     # -- statements --
@@ -343,7 +342,7 @@ class _Parser:
 def parse_program(source):
     """Parse `.pc` source into a :class:`Program`."""
     prog = _Parser(Cursor(source)).program()
-    _check_scop_pairing(prog.body)
+    _check_nest(prog.body)
     return prog
 
 
@@ -376,26 +375,67 @@ def parse_extents_at(cur, reserved, what):
     return tuple(extents)
 
 
-def _check_scop_pairing(body, depth=0, top=True):
-    for s in body:
+def _check_nest(body):
+    """Reject a ``#pragma scop``/``endscop`` below the top level or out of
+    pairs, and a loop variable that an enclosing loop already binds."""
+    depth = 0
+    for s, path in walk(body):
         if isinstance(s, ScopBegin):
-            if not top:
+            if path:
                 raise ParseError("#pragma scop must appear at top level", *s.pos)
             if depth:
                 raise ParseError("nested #pragma scop", *s.pos)
             depth += 1
         elif isinstance(s, ScopEnd):
-            if not top or depth != 1:
+            if path or depth != 1:
                 raise ParseError("unmatched #pragma endscop", *s.pos)
             depth -= 1
-        elif isinstance(s, For):
-            _check_scop_pairing(s.body, depth, top=False)
-        elif isinstance(s, If):
-            _check_scop_pairing(s.then, depth, top=False)
-            _check_scop_pairing(s.els, depth, top=False)
-    if top and depth:
+        elif isinstance(s, For) and any(isinstance(o, For) and o.var == s.var for o in path):
+            raise ParseError("loop variable %r shadows an enclosing loop" % s.var, *s.pos)
+    if depth:
         raise ParseError("missing #pragma endscop")
-    return depth
+
+
+# -- trees ------------------------------------------------------------------
+
+
+def _blocks(node):
+    """The blocks of a tree node: its `body`, or its `then` and `els`; a
+    leaf has none."""
+    if hasattr(node, "body"):
+        return (node.body,)
+    if hasattr(node, "then"):
+        return (node.then, node.els)
+    return ()
+
+
+def walk(nodes, path=()):
+    """Each node of the tree `nodes` (``.pc`` statements or ops of any IR
+    level), parents first, as ``(node, path)``: `path` is the tuple of the
+    nodes that enclose it, outermost first."""
+    for node in nodes:
+        yield node, path
+        for block in _blocks(node):
+            yield from walk(block, path + (node,))
+
+
+def format_nest(nodes, head, depth=0):
+    """Text lines of the tree `nodes` at `depth`: `head(node, pad)` gives a
+    node's own lines (a block node's open its block), and each block is
+    indented two spaces deeper and closed by a brace, with an ``else`` line
+    before a non-empty `els`."""
+    lines = []
+    pad = "  " * depth
+    for node in nodes:
+        lines += head(node, pad)
+        blocks = _blocks(node)
+        for k, block in enumerate(blocks):
+            if k and block:
+                lines.append(pad + "} else {")
+            lines += format_nest(block, head, depth + 1)
+        if blocks:
+            lines.append(pad + "}")
+    return lines
 
 
 # -- printer ----------------------------------------------------------------
@@ -465,42 +505,26 @@ def evaluate(e, env, load=None):
     raise InterpError("cannot evaluate %r" % (e,))
 
 
-def _fmt_stmt(s, indent, out):
-    pad = "  " * indent
-    if isinstance(s, ScopBegin):
-        out.append("#pragma scop")
-    elif isinstance(s, ScopEnd):
-        out.append("#pragma endscop")
-    elif isinstance(s, For):
-        out.append("%sfor (%s = %s; %s < %s; %s++) {"
-                   % (pad, s.var, format_expr(s.lower), s.var, format_expr(s.upper), s.var))
-        for c in s.body:
-            _fmt_stmt(c, indent + 1, out)
-        out.append("%s}" % pad)
-    elif isinstance(s, If):
-        out.append("%sif (%s %s %s) {" % (pad, format_expr(s.lhs), s.op, format_expr(s.rhs)))
-        for c in s.then:
-            _fmt_stmt(c, indent + 1, out)
-        if s.els:
-            out.append("%s} else {" % pad)
-            for c in s.els:
-                _fmt_stmt(c, indent + 1, out)
-        out.append("%s}" % pad)
-    elif isinstance(s, Assign):
-        label = "%s: " % s.label if s.label else ""
-        out.append("%s%s%s = %s;" % (pad, label, format_expr(s.ref), format_expr(s.rhs)))
-    else:
-        raise TypeError(s)
-
-
 def print_program(p):
     """Canonical text; ``parse_program(print_program(p))`` equals ``p``."""
-    out = []
-    for name in p.symbols:
-        out.append("int %s;" % name)
+
+    def head(s, pad):
+        if isinstance(s, ScopBegin):
+            return ["#pragma scop"]
+        if isinstance(s, ScopEnd):
+            return ["#pragma endscop"]
+        if isinstance(s, For):
+            return ["%sfor (%s = %s; %s < %s; %s++) {"
+                    % (pad, s.var, format_expr(s.lower), s.var, format_expr(s.upper), s.var)]
+        if isinstance(s, If):
+            return ["%sif (%s %s %s) {" % (pad, format_expr(s.lhs), s.op, format_expr(s.rhs))]
+        if isinstance(s, Assign):
+            label = "%s: " % s.label if s.label else ""
+            return ["%s%s%s = %s;" % (pad, label, format_expr(s.ref), format_expr(s.rhs))]
+        raise TypeError(s)
+
+    out = ["int %s;" % name for name in p.symbols]
     for a in p.arrays:
         kw = "int" if a.elem == INT64 else "float"
         out.append("%s %s%s;" % (kw, a.name, "".join("[%s]" % e for e in a.extents)))
-    for s in p.body:
-        _fmt_stmt(s, 0, out)
-    return "\n".join(out) + "\n"
+    return "\n".join(out + format_nest(p.body, head)) + "\n"

@@ -9,6 +9,7 @@ output arrays — no vendor runtime.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 from . import frontend as fe
@@ -174,20 +175,12 @@ def insert_directives(p: HlsProgram, policy: DirectivePolicy = DirectivePolicy()
     trip count within the policy limit get `unroll factor=<trip>`; parallel
     loops with symbolic bounds get nothing."""
 
-    def has_loop(ops):
-        for op in ops:
-            if isinstance(op, CFor):
-                return True
-            if isinstance(op, CGuard) and (has_loop(op.then) or has_loop(op.els)):
-                return True
-        return False
-
     def mark(ops):
         out = []
         for op in ops:
             if isinstance(op, CFor):
                 body = mark(op.body)
-                pipe = not has_loop(op.body)
+                pipe = not any(isinstance(o, CFor) for o, _ in fe.walk(op.body))
                 unroll = None
                 if op.parallel:
                     trip = _trip_count(op)
@@ -258,48 +251,39 @@ def emit_c(p: HlsProgram) -> str:
                   for a in p.arrays]
     sig = "void %s_kernel(%s)" % (p.name, ", ".join(sym_params + arr_params))
     w(sig + " {")
-    counter = [0]
+    hoisted = itertools.count()
 
-    def emit_ops(ops, ind):
-        pad = "  " * ind
-        for op in ops:
-            if isinstance(op, CFor):
-                ends = []
-                for end, e in (("lb", op.lower), ("ub", op.upper)):
-                    text = fe.format_expr(e, c=True)
-                    if _nontrivial_bound(e):  # hoisted into a variable
-                        w("%slong long %s%d = %s;" % (pad, end, counter[0], text))
-                        text = "%s%d" % (end, counter[0])
-                        counter[0] += 1
-                    ends.append(text)
-                lo, up = ends
-                w("%sfor (long long %s = %s; %s <= %s; %s++) {%s"
-                  % (pad, op.var, lo, op.var, up, op.var,
-                     "  /* parallel */" if op.parallel else ""))
-                if op.pipeline:
-                    w("#pragma HLS pipeline II=1")
-                if op.unroll is not None:
-                    w("#pragma HLS unroll factor=%d" % op.unroll)
-                emit_ops(op.body, ind + 1)
-                w(pad + "}")
-            elif isinstance(op, CGuard):
-                w("%sif (%s) {" % (pad, _cond_text(op.cond) or "1"))
-                emit_ops(op.then, ind + 1)
-                if op.els:
-                    w(pad + "} else {")
-                    emit_ops(op.els, ind + 1)
-                w(pad + "}")
-            elif isinstance(op, Call):
-                sd = stmt_by_name[op.stmt]
-                mapping = dict(zip(sd.params, op.args))
-                a = _subst_names(sd.body.ref, mapping)
-                rhs = _subst_names(sd.body.rhs, mapping)
-                w("%s%s = %s;  /* %s */" % (pad, fe.format_expr(a, c=True),
-                                            fe.format_expr(rhs, c=True), op.stmt))
-            else:
-                raise CodegenError("cannot emit op %r" % (op,))
+    def head(op, pad):
+        if isinstance(op, CFor):
+            lines, ends = [], []
+            for end, e in (("lb", op.lower), ("ub", op.upper)):
+                text = fe.format_expr(e, c=True)
+                if _nontrivial_bound(e):  # hoisted into a variable
+                    var = "%s%d" % (end, next(hoisted))
+                    lines.append("%slong long %s = %s;" % (pad, var, text))
+                    text = var
+                ends.append(text)
+            lo, up = ends
+            lines.append("%sfor (long long %s = %s; %s <= %s; %s++) {%s"
+                         % (pad, op.var, lo, op.var, up, op.var,
+                            "  /* parallel */" if op.parallel else ""))
+            if op.pipeline:
+                lines.append("#pragma HLS pipeline II=1")
+            if op.unroll is not None:
+                lines.append("#pragma HLS unroll factor=%d" % op.unroll)
+            return lines
+        if isinstance(op, CGuard):
+            return ["%sif (%s) {" % (pad, _cond_text(op.cond) or "1")]
+        if isinstance(op, Call):
+            sd = stmt_by_name[op.stmt]
+            mapping = dict(zip(sd.params, op.args))
+            a = _subst_names(sd.body.ref, mapping)
+            rhs = _subst_names(sd.body.rhs, mapping)
+            return ["%s%s = %s;  /* %s */" % (pad, fe.format_expr(a, c=True),
+                                              fe.format_expr(rhs, c=True), op.stmt)]
+        raise CodegenError("cannot emit op %r" % (op,))
 
-    emit_ops(p.kernel, 1)
+    out += fe.format_nest(p.kernel, head, 1)
     w("}")
     w("")
     # host: argv symbols, stdin for in/inout arrays, calloc-zero for out,
@@ -350,32 +334,23 @@ def print_std(m) -> str:
     if isinstance(m, HlsProgram):
         out += ["transfer %s %s" % (kind, name) for name, kind in m.transfers]
 
-    def walk(ops, ind):
-        pad = "  " * ind
-        for op in ops:
-            if isinstance(op, CFor):
-                flags = []
-                if op.parallel:
-                    flags.append("parallel")
-                if op.pipeline:
-                    flags.append("pipeline")
-                if op.unroll is not None:
-                    flags.append("unroll=%d" % op.unroll)
-                tag = (" " + " ".join(flags)) if flags else ""
-                out.append("%sfor%s %s = %s to %s {" % (
-                    pad, tag, op.var, fe.format_expr(op.lower, c=True),
-                    fe.format_expr(op.upper, c=True)))
-                walk(op.body, ind + 1)
-                out.append(pad + "}")
-            elif isinstance(op, CGuard):
-                out.append("%sif %s {" % (pad, _cond_text(op.cond)))
-                walk(op.then, ind + 1)
-                if op.els:
-                    out.append(pad + "} else {")
-                    walk(op.els, ind + 1)
-                out.append(pad + "}")
-            elif isinstance(op, Call):
-                out.append("%scall %s(%s)" % (pad, op.stmt, ", ".join(op.args)))
+    def head(op, pad):
+        if isinstance(op, CFor):
+            flags = []
+            if op.parallel:
+                flags.append("parallel")
+            if op.pipeline:
+                flags.append("pipeline")
+            if op.unroll is not None:
+                flags.append("unroll=%d" % op.unroll)
+            return ["%sfor%s %s = %s to %s {" % (
+                pad, "".join(" " + f for f in flags), op.var,
+                fe.format_expr(op.lower, c=True), fe.format_expr(op.upper, c=True))]
+        if isinstance(op, CGuard):
+            return ["%sif %s {" % (pad, _cond_text(op.cond))]
+        if isinstance(op, Call):
+            return ["%scall %s(%s)" % (pad, op.stmt, ", ".join(op.args))]
+        raise TypeError(op)
 
-    walk(m.kernel if isinstance(m, HlsProgram) else m.body, 0)
+    out += fe.format_nest(m.kernel if isinstance(m, HlsProgram) else m.body, head)
     return "\n".join(out) + "\n"

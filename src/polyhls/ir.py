@@ -128,35 +128,6 @@ def _ref_str(name, dims, syms):
     return s
 
 
-def _print_op(op, table, indent, out):
-    pad = "  " * indent
-    if isinstance(op, For):
-        lb = table.map_name(op.lb.map)
-        ub = table.map_name(_shift(op.ub.map, 1))
-        kw = "affine.parallel_for" if op.parallel else "affine.for"
-        out.append("%s%s %s = max %s to min %s {" % (
-            pad, kw, op.var,
-            _ref_str(lb, op.lb.dims, op.lb.syms),
-            _ref_str(ub, op.ub.dims, op.ub.syms)))
-        for c in op.body:
-            _print_op(c, table, indent + 1, out)
-        out.append("%s}" % pad)
-    elif isinstance(op, If):
-        s = table.set_name(op.cond.set)
-        out.append("%saffine.if %s {" % (pad, _ref_str(s, op.cond.dims, op.cond.syms)))
-        for c in op.then:
-            _print_op(c, table, indent + 1, out)
-        if op.els:
-            out.append("%s} else {" % pad)
-            for c in op.els:
-                _print_op(c, table, indent + 1, out)
-        out.append("%s}" % pad)
-    elif isinstance(op, Call):
-        out.append("%scall @%s(%s)" % (pad, op.stmt, ", ".join(op.args)))
-    else:
-        raise TypeError(op)
-
-
 def format_decls(m):
     """The `symbol`, `array` and `stmt` lines of a module or an
     `hls.HlsProgram`, unindented."""
@@ -172,9 +143,24 @@ def format_decls(m):
 def print_ir(module):
     """Canonical text with maps numbered in first-use order."""
     table = _MapTable()
-    body_lines = []
-    for op in module.body:
-        _print_op(op, table, 1, body_lines)
+
+    def head(op, pad):
+        if isinstance(op, For):
+            lb = table.map_name(op.lb.map)
+            ub = table.map_name(_shift(op.ub.map, 1))
+            kw = "affine.parallel_for" if op.parallel else "affine.for"
+            return ["%s%s %s = max %s to min %s {" % (
+                pad, kw, op.var,
+                _ref_str(lb, op.lb.dims, op.lb.syms),
+                _ref_str(ub, op.ub.dims, op.ub.syms))]
+        if isinstance(op, If):
+            s = table.set_name(op.cond.set)
+            return ["%saffine.if %s {" % (pad, _ref_str(s, op.cond.dims, op.cond.syms))]
+        if isinstance(op, Call):
+            return ["%scall @%s(%s)" % (pad, op.stmt, ", ".join(op.args))]
+        raise TypeError(op)
+
+    body_lines = fe.format_nest(module.body, head, 1)
     decls = ["  " + line for line in format_decls(module)]
     header = []
     for i, m in enumerate(table.maps):
@@ -309,6 +295,9 @@ def verify_ir(module):
     arrays = {a.name for a in module.arrays}
     symbols = set(module.symbols)
     stmt_arity = {s.name: len(s.params) for s in module.stmts}
+    names = list(module.symbols) + [a.name for a in module.arrays]
+    for n in sorted({n for n in names if names.count(n) > 1}):
+        diags.append("duplicate declaration of %r" % n)
 
     for s in module.stmts:
         used = _assign_names(s.body)
@@ -325,37 +314,32 @@ def verify_ir(module):
             if sy not in symbols:
                 diags.append("%s: symbol operand %r is not declared" % (what, sy))
 
-    def walk(ops, in_scope):
-        for op in ops:
-            if isinstance(op, For):
-                if op.var in in_scope:
-                    diags.append("loop var %r shadows an enclosing loop" % op.var)
-                if op.var in symbols or op.var in arrays:
-                    diags.append("loop var %r shadows %s" % (
-                        op.var, "a symbol" if op.var in symbols else "an array"))
-                if not op.lb.map.results or not op.ub.map.results:
-                    diags.append("loop %r has an empty bound map" % op.var)
-                check_ref(op.lb, in_scope, "loop %s lb" % op.var)
-                check_ref(op.ub, in_scope, "loop %s ub" % op.var)
-                walk(op.body, in_scope | {op.var})
-            elif isinstance(op, If):
-                check_ref(op.cond, in_scope, "affine.if")
-                walk(op.then, in_scope)
-                walk(op.els, in_scope)
-            elif isinstance(op, Call):
-                if op.stmt not in stmt_arity:
-                    diags.append("call to unknown stmt @%s" % op.stmt)
-                elif len(op.args) != stmt_arity[op.stmt]:
-                    diags.append("call @%s expects %d operands, got %d"
-                                 % (op.stmt, stmt_arity[op.stmt], len(op.args)))
-                else:
-                    for a in op.args:
-                        if a not in in_scope:
-                            diags.append("call @%s: operand %r not in scope" % (op.stmt, a))
+    for op, path in fe.walk(module.body):
+        in_scope = {o.var for o in path if isinstance(o, For)}
+        if isinstance(op, For):
+            if op.var in in_scope:
+                diags.append("loop var %r shadows an enclosing loop" % op.var)
+            if op.var in symbols or op.var in arrays:
+                diags.append("loop var %r shadows %s" % (
+                    op.var, "a symbol" if op.var in symbols else "an array"))
+            if not op.lb.map.results or not op.ub.map.results:
+                diags.append("loop %r has an empty bound map" % op.var)
+            check_ref(op.lb, in_scope, "loop %s lb" % op.var)
+            check_ref(op.ub, in_scope, "loop %s ub" % op.var)
+        elif isinstance(op, If):
+            check_ref(op.cond, in_scope, "affine.if")
+        elif isinstance(op, Call):
+            if op.stmt not in stmt_arity:
+                diags.append("call to unknown stmt @%s" % op.stmt)
+            elif len(op.args) != stmt_arity[op.stmt]:
+                diags.append("call @%s expects %d operands, got %d"
+                             % (op.stmt, stmt_arity[op.stmt], len(op.args)))
             else:
-                diags.append("unknown op %r" % (op,))
-
-    walk(module.body, set())
+                for a in op.args:
+                    if a not in in_scope:
+                        diags.append("call @%s: operand %r not in scope" % (op.stmt, a))
+        else:
+            diags.append("unknown op %r" % (op,))
     return diags
 
 

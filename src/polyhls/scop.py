@@ -130,24 +130,13 @@ def stmt_names(nodes):
     """Name of each assignment in `nodes`, keyed by ``id``: S1, S2, ... in
     textual order, counted afresh after each ``#pragma scop``; a label
     overrides."""
-    names = {}
-    count = 0
-
-    def walk(nodes):
-        nonlocal count
-        for node in nodes:
-            if isinstance(node, fe.ScopBegin):
-                count = 0
-            elif isinstance(node, fe.For):
-                walk(node.body)
-            elif isinstance(node, fe.If):
-                walk(node.then)
-                walk(node.els)
-            elif isinstance(node, fe.Assign):
-                count += 1
-                names[id(node)] = node.label or "S%d" % count
-
-    walk(nodes)
+    names, count = {}, 0
+    for node, _ in fe.walk(nodes):
+        if isinstance(node, fe.ScopBegin):
+            count = 0
+        elif isinstance(node, fe.Assign):
+            count += 1
+            names[id(node)] = node.label or "S%d" % count
     return names
 
 

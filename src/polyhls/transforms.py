@@ -97,6 +97,8 @@ def tile(scop, spec):
     if len(depths) != 1:
         raise IllegalTilingError("tiling requires a uniform loop depth across statements")
     depth = depths.pop()
+    if not depth:
+        raise IllegalTilingError("tiling requires a loop; the SCoP has none")
     sizes = spec.sizes[-depth:] if len(spec.sizes) > depth else spec.sizes
     m = len(sizes)
     band_levels = scop.loop_levels()[-m:]

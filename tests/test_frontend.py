@@ -6,6 +6,7 @@ import pytest
 
 from polyhls import frontend as fe
 from polyhls.errors import ParseError, UnsupportedConstructError
+from polyhls.ir import Call, For, If
 
 import corpus
 
@@ -97,6 +98,57 @@ class TestParse:
                "#pragma scop\nA[i] = 0;\n#pragma endscop\n}\n")
         with pytest.raises(ParseError):
             fe.parse_program(src)
+
+    def test_loop_var_shadowing_enclosing_loop_rejected(self):
+        # the inner `i` would be modelled with the outer loop's dim
+        src = ("int N;\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++)\n"
+               "  for (i = 0; i < 2; i++)\n    A[i] = A[i] + 1.0;\n#pragma endscop\n")
+        with pytest.raises(ParseError, match="loop variable 'i' shadows an enclosing loop") as err:
+            fe.parse_program(src)
+        assert (err.value.line, err.value.col) == (5, 3)
+
+    @pytest.mark.parametrize("decls, name, pos", [
+        ("int N;\nint N;\n", "N", (2, 5)),
+        ("int N;\nfloat N[4];\n", "N", (2, 7)),
+        ("float A[4];\nint A[2];\n", "A", (2, 5)),
+    ], ids=["symbol-symbol", "symbol-array", "array-array"])
+    def test_duplicate_declaration_rejected(self, decls, name, pos):
+        # cc rejects each as a redefinition or conflicting types
+        with pytest.raises(ParseError, match="duplicate declaration of '%s'" % name) as err:
+            fe.parse_program(decls + "#pragma scop\n#pragma endscop\n")
+        assert (err.value.line, err.value.col) == pos
+
+
+class TestTrees:
+    def test_walk_yields_parents_first_with_enclosing_path(self):
+        p = fe.parse_program("int N;\nfloat A[N];\nfor (i = 0; i < N; i++)\n"
+                             "  if (i > 0) A[i] = 1.0; else A[i] = 2.0;\n")
+        loop = p.body[0]
+        guard = loop.body[0]
+        assert list(fe.walk(p.body)) == [(loop, ()), (guard, (loop,)),
+                                         (guard.then[0], (loop, guard)),
+                                         (guard.els[0], (loop, guard))]
+
+    def test_walk_paths_reach_ir_calls(self):
+        call = Call("S1", ("i",))
+        guard = If(None, (call,))
+        loop = For("i", None, None, False, (guard,))
+        assert list(fe.walk((loop,)))[-1] == (call, (loop, guard))
+
+    def test_format_nest_indents_and_closes_blocks(self):
+        call = Call("S1", ("i",))
+        tree = (For("i", None, None, False, (If(None, (call,), (call,)), If(None, (call,)))),)
+        head = {For: "for {", If: "if {", Call: "call"}
+        lines = fe.format_nest(tree, lambda n, pad: [pad + head[type(n)]], 1)
+        assert lines == ["  for {",
+                         "    if {", "      call", "    } else {", "      call", "    }",
+                         "    if {", "      call", "    }",
+                         "  }"]
+
+    def test_format_nest_head_may_give_several_lines(self):
+        tree = (For("i", None, None, False, ()),)
+        lines = fe.format_nest(tree, lambda n, pad: [pad + "pre", pad + "for {", "#pragma"])
+        assert lines == ["pre", "for {", "#pragma", "}"]
 
 
 class TestPrintRoundTrip:

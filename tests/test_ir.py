@@ -210,6 +210,14 @@ class TestVerify:
         module = AffineIrModule(("N",), (arr,), (), (For(var, m0, m0, False, ()),))
         assert verify_ir(module) == ["loop var %r shadows %s" % (var, what)]
 
+    @pytest.mark.parametrize("decls", ["symbol N\n  symbol N\n",
+                                       "symbol N\n  array N : int64 [4]\n"],
+                             ids=["symbol-symbol", "symbol-array"])
+    def test_duplicate_declaration_diagnostic(self, decls):
+        # the emitted kernel would declare `N` twice, which cc rejects
+        module = parse_ir("module {\n  %s}\n" % decls)
+        assert verify_ir(module) == ["duplicate declaration of 'N'"]
+
     def test_out_of_scope_operand_diagnostic(self):
         m0 = AffineMap(0, 0, (Const(0),))
         m1 = AffineMap(1, 0, (DimRef(0),))

@@ -94,6 +94,14 @@ class TestTile:
             tile(scop, TilingSpec((4, 4)))
         assert str(err.value).endswith(witness)
 
+    @pytest.mark.parametrize("transform", [tile, sub_bounding_box_tile])
+    def test_scop_without_loop_rejected(self, transform):
+        # `sizes[-0:]` would take every size and tile a dim the SCoP lacks
+        src = "float A[4];\n#pragma scop\nA[0] = A[1] + 1.0;\n#pragma endscop\n"
+        scop = build_scop(fe.parse_program(src))[0]
+        with pytest.raises(IllegalTilingError, match="tiling requires a loop"):
+            transform(scop, TilingSpec((4,)))
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(IllegalTilingError):
             TilingSpec((0, 4))

@@ -15,10 +15,12 @@ of OPTION_CASES in compile mode and of RUN_OPTION_CASES in run mode, so
 every value form, kind check and mode check of an option is pinned.  Every
 stored `perfbench/air/*.air` module (read in place) runs with
 `--emit=affine|std|hls-c` and `--dump=bounds`, and AIR_FLAG_MODULE runs
-each flag of AIR_FLAG_CASES that needs a `.pc` input.  Every `.pc` input and
-every stored module also runs once as `run --trace --dump-arrays`, with
-every symbol set to 5, non-zero arrays and `POLYHLS_SEED=1`, so the
-interpreter gets the same check as the emitters.  Each file holds the
+each flag of AIR_FLAG_CASES that needs a `.pc` input.  Each input of
+REJECT_CASES (`.pc` or `.air`) runs with its flags, so every message of a
+rejected loop nest, declaration list or loopless tiling is pinned.  Every
+`.pc` input and every stored module also runs once as `run --trace
+--dump-arrays`, with every symbol set to 5, non-zero arrays and
+`POLYHLS_SEED=1`, so the interpreter gets the same check as the emitters.  Each file holds the
 exit code, stdout and stderr of one case, so `diff -r` of the OUTDIRs of
 two checkouts lists every output that differs between them.
 """
@@ -52,6 +54,19 @@ RUN_OPTION_CASES = ("--trace=1", "--emit=affine", "--emit=", "--set")
 AIR_FLAG_MODULE = "copy__none"
 AIR_FLAG_CASES = ("--dump=deps", "--emit=scop", "--assume N>=2", "-tile=4")
 RUN_SIZE = 5
+_LOOPLESS = "float A[4];\n#pragma scop\nA[0] = A[1] + 1.0;\n#pragma endscop\n"
+REJECT_CASES = (  # (input file name, its text, flags)
+    ("shadowed-loop-var.pc", "int N;\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++)\n"
+     "  for (i = 0; i < 2; i++)\n    A[i] = A[i] + 1.0;\n#pragma endscop\n", "--dump=scop"),
+    ("duplicate-symbol.pc", "int N;\nint N;\nfloat A[N];\n#pragma scop\n#pragma endscop\n",
+     "--emit=hls-c"),
+    ("symbol-array-clash.pc", "int N;\nfloat N[4];\n#pragma scop\n#pragma endscop\n",
+     "--emit=hls-c"),
+    ("symbol-array-clash.air", "module {\n  symbol N\n  array N : float64 [4]\n}\n",
+     "--emit=hls-c"),
+    ("loopless.pc", _LOOPLESS, "-tile=4 --emit=affine"),
+    ("loopless.pc", _LOOPLESS, "-subbb-tile=4 --emit=affine"),
+)
 
 
 def programs():
@@ -141,6 +156,13 @@ def main(argv):
                 run(os.path.join(outdir, case_name(name + "__run-options", output)),
                     ["run", path] + output.split())
                 cases += 1
+    for fname, text, output in REJECT_CASES:
+        path = os.path.join(outdir, "inputs", "reject-" + fname)
+        with open(path, "w") as f:
+            f.write(text)
+        name = "reject-" + fname.replace(".", "-")
+        run(os.path.join(outdir, case_name(name, output)), [path] + output.split())
+        cases += 1
     for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
         name = "air-" + os.path.basename(path)[:-4]
         with open(path) as f:
