@@ -10,11 +10,16 @@ a seeded random order (`shuffle_seed`) to test order-independence.
 
 Three executors: the source walker (the reference, sharing no loop code
 with what it checks), the Scop scanner, and one loop-nest walker for
-the module at either level and the HLS kernel.
+the module at either level and the HLS kernel.  They walk their loops and
+evaluate bounds and guards with `frontend.evaluate`; each statement
+template is compiled once per run (`_compile_stmt`) to a Python function
+of its loop vars that has `frontend.evaluate`'s semantics and order, and
+every instance calls it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -61,10 +66,6 @@ class Machine:
     trace: list = None  # of (statement name, index tuple) when enabled
     rng: random.Random = field(default=None, repr=False)
 
-    def record(self, name, idxs):
-        if self.trace is not None:
-            self.trace.append((name, tuple(idxs)))
-
     def array(self, name):
         arr = self.arrays.get(name)
         if arr is None:
@@ -74,12 +75,6 @@ class Machine:
     def load(self, name, idxs):
         arr = self.array(name)
         return arr.data[arr.offset(idxs)]
-
-    def env(self, names, values):
-        """Evaluation env: the symbols, then `names` bound to `values`."""
-        env = dict(self.symbols)
-        env.update(zip(names, values))
-        return env
 
     def order(self, n, parallel):
         idx = list(range(n))
@@ -121,7 +116,7 @@ def make_machine(symbols, array_decls, init=None, trace=False, shuffle_seed=None
 
 
 # ---------------------------------------------------------------------------
-# statement-template execution (shared by all representations)
+# statement templates, compiled once per run (shared by all representations)
 
 
 def format_instance(name, idxs):
@@ -129,17 +124,157 @@ def format_instance(name, idxs):
     return "%s(%s)" % (name, ", ".join(str(v) for v in idxs))
 
 
-def _exec_assign(assign, env, machine, name, idxs):
-    """Run one instance `name(idxs)` of `assign`; `env` binds every name
-    its expressions read."""
-    machine.record(name, idxs)
-    load = machine.load
-    try:
-        arr = machine.array(assign.ref.array)
-        subs = [fe.evaluate(s, env, load) for s in assign.ref.subs]
-        arr.store(subs, fe.evaluate(assign.rhs, env, load))
-    except InterpError as e:
-        raise InterpError("%s at %s" % (e, format_instance(name, idxs))) from None
+# floord/ceild round toward -inf/+inf, as `fe.evaluate` and the C helpers do
+_CALLS = {"floord": "(%s // %s)", "ceild": "(-(-%s // %s))",
+          "min": "min(%s, %s)", "max": "max(%s, %s)"}
+
+
+def _static(v):
+    """The static type of a run-time constant: int, float, or None for any
+    other."""
+    return type(v) if type(v) in (int, float) else None
+
+
+def _join(ta, tb, mixed):
+    """The type of a binary result: int of two ints, float of two floats, and
+    float of a float with an int when `mixed` (arithmetic, not min/max)."""
+    if ta is tb and ta is not None:
+        return ta
+    return float if mixed and {ta, tb} == {int, float} else None
+
+
+def _compile_stmt(assign, params, machine, name, trace_pos):
+    """One instance of statement `name` (template `assign`) as a function
+    of the values of `params`, compiled for `machine` and valid for one run.
+
+    The function does what `fe.evaluate` and `Array.store` do, in their
+    order: it appends the trace entry (the params at `trace_pos`), evaluates
+    the target's subscripts, then the rhs from left to right with each load
+    checked as it is read, then stores.  A subscript whose every value is
+    an int is checked inline; a failed check, any other subscript and a
+    value of unknown type go through `Array.offset`/`Array.store`, and an
+    unbound name or unknown node through `fe.evaluate`, so each message is
+    built where the reference builds it.  Every `InterpError` gets the
+    instance's ``at S(i, j)``.  The source names only parameters (`p0`),
+    temporaries (`t0`) and namespace constants (`c0`)."""
+    ns = {"InterpError": InterpError}
+    body = []
+    temps = itertools.count()
+    var = {p: ("p%d" % k, int) for k, p in enumerate(params)}  # the inner loop wins
+    elem_types = {}
+
+    def const(v):
+        key = "c%d" % len(ns)
+        ns[key] = v
+        return key
+
+    def temp(src, at=None):
+        t = "t%d" % next(temps)
+        body.insert(len(body) if at is None else at, "%s = %s" % (t, src))
+        return t
+
+    def pair(x, y):
+        # `x` is computed before anything `y` runs
+        a, ta = expr(x)
+        mark = len(body)
+        b, tb = expr(y)
+        if len(body) > mark and a.startswith("("):
+            a = temp(a, mark)
+        return a, ta, b, tb
+
+    def expr(e):
+        """Source of `e`'s value and its static type; loads, calls and
+        fallbacks to the reference evaluator become statements, in order."""
+        kind = type(e)
+        if kind is fe.Name and e.ident in var:
+            return var[e.ident]
+        if kind is fe.Name and e.ident in machine.symbols:
+            v = machine.symbols[e.ident]
+            return const(v), _static(v)
+        if kind is fe.IntLit or kind is fe.FloatLit:
+            return const(e.value), _static(e.value)
+        if kind is fe.BinOp:
+            a, ta, b, tb = pair(e.lhs, e.rhs)
+            op = e.op if e.op in ("+", "-") else "*"
+            return "(%s %s %s)" % (a, op, b), _join(ta, tb, True)
+        if kind is fe.ArrayRef:
+            return load(e)
+        if kind is fe.Call and e.fn in _CALLS and len(e.args) == 2:
+            a, ta, b, tb = pair(*e.args)
+            return temp(_CALLS[e.fn] % (a, b)), _join(ta, tb, e.fn in ("floord", "ceild"))
+        env = "".join("%s: p%d, " % (const(p), k) for k, p in enumerate(params))
+        src = "%s(%s, {**%s, %s}, %s)" % (const(fe.evaluate), const(e), const(machine.symbols),
+                                           env, const(machine.load))
+        return temp(src), None
+
+    def subscripts(ref):
+        subs = []
+        for s in ref.subs:
+            src, t = expr(s)
+            subs.append((temp(src) if src.startswith("(") else src, t))
+        return subs
+
+    def elem_type(arr):
+        # stores keep an int array int and a float array float, so the
+        # values it holds now are the ones it holds all run
+        if arr.name not in elem_types:
+            want = int if arr.elem == fe.INT64 else float
+            elem_types[arr.name] = want if set(map(type, arr.data)) <= {want} else None
+        return elem_types[arr.name]
+
+    def offset(arr, subs):
+        """Source of the flat offset of `subs` in `arr`, checked first."""
+        idxs = "[%s]" % ", ".join(s for s, _ in subs)
+        if len(subs) != len(arr.extents) or any(t is not int for _, t in subs):
+            return "%s.offset(%s)" % (const(arr), idxs)
+        if not subs:
+            return "0"
+        tests = " and ".join("0 <= %s < %s" % (s, const(x)) for (s, _), x in zip(subs, arr.extents))
+        body.append("if not (%s): %s.offset(%s)" % (tests, const(arr), idxs))
+        flat = subs[0][0]
+        for (s, _), x in zip(subs[1:], arr.extents[1:]):
+            flat = "%s * %s + %s" % (flat, const(x), s)
+        return flat
+
+    def array(name):
+        # an unknown array raises, through `Machine.array`, when the instance runs
+        arr = machine.arrays.get(name)
+        if arr is None:
+            body.append("%s(%s)" % (const(machine.array), const(name)))
+        return arr
+
+    def load(ref):
+        subs = subscripts(ref)
+        arr = array(ref.array)
+        if arr is None:
+            return "None", None
+        return temp("%s[%s]" % (const(arr.data), offset(arr, subs))), elem_type(arr)
+
+    target = assign.ref
+    arr = array(target.array)
+    if arr is not None:
+        subs = subscripts(target)
+        v, tv = expr(assign.rhs)
+        if arr.elem == fe.INT64 and tv is not int:
+            body.append("%s.store([%s], %s)" % (const(arr), ", ".join(s for s, _ in subs), v))
+        else:
+            if arr.elem == fe.FLOAT64 and tv is not float:
+                v = "float(%s)" % v
+            if "(" in v:  # computed before the check, as `Array.store` does
+                v = temp(v)
+            body.append("%s[%s] = %s" % (const(arr.data), offset(arr, subs), v))
+
+    idxs = "(%s)" % "".join("p%d, " % k for k in trace_pos)
+    lines = ["def f(%s):" % ", ".join("p%d" % k for k in range(len(params)))]
+    if machine.trace is not None:
+        lines.append("    %s((%s, %s))" % (const(machine.trace.append), const(name), idxs))
+    lines.append("    try:")
+    lines += ["        " + line for line in body]
+    lines += ["    except InterpError as e:",
+              '        raise InterpError("%%s at %%s" %% (e, %s(%s, %s))) from None'
+              % (const(format_instance), const(name), idxs)]
+    exec(compile("\n".join(lines) + "\n", "<statement>", "exec"), ns)
+    return ns.pop("f")  # so no ns<->function cycle keeps the run's arrays
 
 
 # ---------------------------------------------------------------------------
@@ -154,31 +289,35 @@ _CMP = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
 def _run_program(program, machine):
     names = stmt_names(program.body)
     load = machine.load
+    stmts = {}  # id of an Assign -> (its compiled instance, the enclosing loop vars)
+    for node, path in fe.walk(program.body):
+        if isinstance(node, fe.Assign):
+            loops = [n.var for n in path if isinstance(n, fe.For)]
+            stmts[id(node)] = (_compile_stmt(node, loops, machine, names[id(node)],
+                                             range(len(loops))), loops)
 
-    def exec_stmts(nodes, env, loops):
-        # loops: the enclosing loop vars, outermost first (trace coordinates)
+    def exec_stmts(nodes, env):
         for node in nodes:
             if isinstance(node, (fe.ScopBegin, fe.ScopEnd)):
                 continue
             if isinstance(node, fe.For):
                 lo = fe.evaluate(node.lower, env, load)
                 hi = fe.evaluate(node.upper, env, load)
-                inner = loops + (node.var,)
                 for v in range(lo, hi):
                     env2 = dict(env)
                     env2[node.var] = v
-                    exec_stmts(node.body, env2, inner)
+                    exec_stmts(node.body, env2)
             elif isinstance(node, fe.If):
                 a = fe.evaluate(node.lhs, env, load)
                 b = fe.evaluate(node.rhs, env, load)
-                exec_stmts(node.then if _CMP[node.op](a, b) else node.els, env, loops)
+                exec_stmts(node.then if _CMP[node.op](a, b) else node.els, env)
             elif isinstance(node, fe.Assign):
-                _exec_assign(node, env, machine, names[id(node)],
-                             tuple(env[v] for v in loops))
+                fn, loops = stmts[id(node)]
+                fn(*[env[v] for v in loops])
             else:
                 raise InterpError("cannot execute %r" % (node,))
 
-    exec_stmts(program.body, dict(machine.symbols), ())
+    exec_stmts(program.body, dict(machine.symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +330,14 @@ def _run_scop(scop, machine):
         raise InterpError("symbol bindings violate the context set")
     instances = []
     for st in scop.statements:
+        fn = _compile_stmt(st.body, st.dim_names, machine, st.name, st.body_dims)
         scan = st.domain if st.guard is None else st.domain.intersect(st.guard)
         for p in scan.points(syms):
             time = tuple(eval_expr(r, p, syms) for r in st.schedule.results)
-            instances.append((time, st, p))
+            instances.append((time, fn, p))
     instances.sort(key=lambda t: t[0])
-    for _, st, p in instances:
-        _exec_assign(st.body, machine.env(st.dim_names, p), machine, st.name,
-                     tuple(p[d] for d in st.body_dims))
+    for _, fn, p in instances:
+        fn(*p)
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +384,22 @@ def _run_nest(obj, ops, machine):
     """Run the loop nest `ops` of `obj` (its symbols and statements).
     Operands index the env unchecked; a name that no enclosing loop or
     symbol binds is an unbound-operand error."""
-    stmt_by_name = {s.name: s for s in obj.stmts}
+    stmt_by_name = {s.name: (s, _compile_stmt(s.body, s.params, machine, s.name,
+                                              range(len(s.params))))
+                    for s in obj.stmts}
     symbols = machine.symbols
 
     def exec_ops(ops, env):
         for op in ops:
             kind = type(op)
             if kind is Call:
-                sd = stmt_by_name.get(op.stmt)
+                sd, fn = stmt_by_name.get(op.stmt, (None, None))
                 if sd is None:
                     raise InterpError("call to unknown statement %r" % op.stmt)
                 if len(op.args) != len(sd.params):
                     raise InterpError("call to %s: expected %d args, got %d"
                                       % (op.stmt, len(sd.params), len(op.args)))
-                idxs = tuple(env[a] for a in op.args)
-                _exec_assign(sd.body, machine.env(sd.params, idxs), machine, op.stmt, idxs)
+                fn(*[env[a] for a in op.args])
             elif kind in _BOUNDS:
                 lo, up = _BOUNDS[kind](op, env, symbols)
                 for k in machine.order(max(0, up - lo + 1), op.parallel):

@@ -295,9 +295,10 @@ def verify_ir(module):
     arrays = {a.name for a in module.arrays}
     symbols = set(module.symbols)
     stmt_arity = {s.name: len(s.params) for s in module.stmts}
-    names = list(module.symbols) + [a.name for a in module.arrays]
-    for n in sorted({n for n in names if names.count(n) > 1}):
-        diags.append("duplicate declaration of %r" % n)
+    decls = list(module.symbols) + [a.name for a in module.arrays]
+    for what, names in (("declaration of %r", decls), ("stmt @%s", [s.name for s in module.stmts])):
+        for n in sorted({n for n in names if names.count(n) > 1}):
+            diags.append("duplicate " + what % n)
 
     for s in module.stmts:
         used = _assign_names(s.body)

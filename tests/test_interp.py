@@ -8,6 +8,7 @@ from polyhls import frontend as fe, hls, interp
 from polyhls.codegen import generate_loops, simplify_bounds
 from polyhls.errors import InterpError
 from polyhls.ir import parse_ir
+from polyhls.lexer import Cursor
 from polyhls.scop import build_scop
 from polyhls.transforms import TilingSpec, tile, wavefront_parallelize
 
@@ -183,6 +184,94 @@ class TestMachine:
                "for (i = 0; i < N; i++) { A[i] = 1.5; }\n#pragma endscop\n")
         with pytest.raises(InterpError):
             interp.run(fe.parse_program(src), {"N": 2})
+
+
+def _assign(text):
+    return fe.parse_assignment_at(Cursor(text))
+
+
+def _into_h(rhs):
+    """``H[i] = rhs`` for an `rhs` that `.pc` cannot spell."""
+    return fe.Assign("", fe.ArrayRef("H", (fe.Name("i"),)), rhs)
+
+
+def _call(fn, a, b):
+    return _into_h(fe.Call(fn, tuple(_assign("A[0] = " + x).rhs for x in (a, b))))
+
+
+# (statement, its params): each runs with its params bound to k (and k + 1),
+# k = 0..3, on N = 4 and the arrays of _DIFF_ARRAYS, until its first error
+_DIFF_CASES = [
+    (_assign("A[B[i]] = A[i] + F[i][i] * 0.5"), ("i",)),  # indirect through an int array
+    (_assign("A[F[i][0]] = 1.0"), ("i",)),  # through a float array: non-integer subscript
+    (_assign("A[G[i]] = 1.0"), ("i",)),  # an int array initialised with a float
+    (_assign("H[i] = A[i] + 1"), ("i",)),  # a float into an int array
+    (_assign("H[i] = H[i] * 3 - N"), ("i",)),
+    (_assign("A[i + 4] = A[3 - i] + A[i + 5]"), ("i",)),  # reads checked before the write
+    (_assign("A[i] = W[i] * 0.5 + A[i + 9]"), ("i",)),  # an overflow before a later read
+    (_assign("A[i + 9] = W[i] * 0.5"), ("i",)),  # ...and before the write's check
+    (_assign("A[i][i] = 1.0"), ("i",)),  # rank mismatch
+    (_assign("Q[i] = 1.0"), ("i",)),  # unknown target array
+    (_assign("A[i] = A[i] + Q[i + 9]"), ("i",)),  # unknown array, read after its subscript
+    (_assign("A[i] = A[i] + M"), ("i",)),  # unbound name
+    (_assign("A[M] = A[i + 9]"), ("i",)),  # ...in the target, evaluated first
+    (_assign("F[i][j] = F[j][i] * -1 + N"), ("i", "j")),
+    (_assign("F[N][i] = 1.0"), ("N", "i")),  # a param hides the symbol of its name
+    (_assign("A[i] = 0.0 * -1.0"), ("i",)),  # -0.0
+    (_assign("A[i] = A[i] * -1"), ("i",)),  # -0.0 once A[i] is 0.0
+    (_assign("A[i] = H[i] * 0"), ("i",)),  # an int 0 stored as 0.0
+    (_call("floord", "i - 5", "2"), ("i",)),
+    (_call("ceild", "-7", "i + 2"), ("i",)),
+    (_call("floord", "7", "-2"), ("i",)),
+    (_call("ceild", "i - 7", "-3"), ("i",)),
+    (_call("min", "H[i]", "i - 2"), ("i",)),
+    (_call("max", "A[i]", "i"), ("i",)),  # a float result into an int array
+    (_call("floord", "i", "i"), ("i",)),  # ZeroDivisionError at i = 0
+    (_into_h(fe.BinOp("/", fe.IntLit(3), fe.Name("i"))), ("i",)),  # `fe.evaluate` reads `*`
+]
+_DIFF_ARRAYS = (fe.ArrayDecl("A", fe.FLOAT64, (4,)), fe.ArrayDecl("F", fe.FLOAT64, (4, 4)),
+                fe.ArrayDecl("B", fe.INT64, (4,)), fe.ArrayDecl("G", fe.INT64, (4,)),
+                fe.ArrayDecl("H", fe.INT64, ("N",)), fe.ArrayDecl("W", fe.INT64, (4,)))
+_DIFF_INIT = {"A": [0.5, -1.0, 2.0, 0.0], "F": [k / 4.0 for k in range(16)],
+              "B": [2, 0, 3, 1], "G": [1, 2.0, 3, 0], "H": [3, -4, 5, 0],
+              "W": [10 ** 400, 0, 0, 0]}
+
+
+def _outcome(run, machine, vals):
+    """(exception class and message or None, trace, arrays by `repr`)."""
+    try:
+        run(*vals)
+        err = None
+    except Exception as e:  # noqa: BLE001 -- any exception must match
+        err = (type(e).__name__, str(e))
+    return err, list(machine.trace), {n: repr(a.data) for n, a in machine.arrays.items()}
+
+
+class TestCompiledStatement:
+    @pytest.mark.parametrize("assign, params", _DIFF_CASES,
+                             ids=[str(k) for k in range(len(_DIFF_CASES))])
+    def test_matches_reference_evaluator(self, assign, params):
+        ref = interp.make_machine({"N": 4}, _DIFF_ARRAYS, _DIFF_INIT, trace=True)
+        got = interp.make_machine({"N": 4}, _DIFF_ARRAYS, _DIFF_INIT, trace=True)
+
+        def reference(*vals):
+            # the tree walker's instance: `fe.evaluate` over one env
+            ref.trace.append(("S1", vals))
+            env = dict(ref.symbols, **dict(zip(params, vals)))
+            try:
+                arr = ref.array(assign.ref.array)
+                subs = [fe.evaluate(s, env, ref.load) for s in assign.ref.subs]
+                arr.store(subs, fe.evaluate(assign.rhs, env, ref.load))
+            except InterpError as e:
+                raise InterpError("%s at %s" % (e, interp.format_instance("S1", vals))) from None
+
+        compiled = interp._compile_stmt(assign, params, got, "S1", range(len(params)))
+        for i in range(4):
+            vals = (i, i + 1)[:len(params)]
+            want = _outcome(reference, ref, vals)
+            assert _outcome(compiled, got, vals) == want
+            if want[0]:
+                break
 
 
 class TestHlsSemantics:

@@ -218,6 +218,12 @@ class TestVerify:
         module = parse_ir("module {\n  %s}\n" % decls)
         assert verify_ir(module) == ["duplicate declaration of 'N'"]
 
+    def test_duplicate_stmt_diagnostic(self):
+        # with two definitions the last one used to run and be emitted
+        module = parse_ir("module {\n  symbol N\n  array A : float64 [N]\n"
+                          "  stmt S1(i) { A[i] = 1.0; }\n  stmt S1(i) { A[i] = 2.0; }\n}\n")
+        assert verify_ir(module) == ["duplicate stmt @S1"]
+
     def test_out_of_scope_operand_diagnostic(self):
         m0 = AffineMap(0, 0, (Const(0),))
         m1 = AffineMap(1, 0, (DimRef(0),))

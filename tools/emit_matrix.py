@@ -17,7 +17,10 @@ stored `perfbench/air/*.air` module (read in place) runs with
 `--emit=affine|std|hls-c` and `--dump=bounds`, and AIR_FLAG_MODULE runs
 each flag of AIR_FLAG_CASES that needs a `.pc` input.  Each input of
 REJECT_CASES (`.pc` or `.air`) runs with its flags, so every message of a
-rejected loop nest, declaration list or loopless tiling is pinned.  Every
+rejected loop nest, declaration list, stmt list or loopless tiling is
+pinned, and so is each interpreter error of an out-of-bounds read, an
+out-of-bounds write and a float stored into an int array (`run`, in both
+input kinds).  Every
 `.pc` input and every stored module also runs once as `run --trace
 --dump-arrays`, with every symbol set to 5, non-zero arrays and
 `POLYHLS_SEED=1`, so the interpreter gets the same check as the emitters.  Each file holds the
@@ -66,7 +69,24 @@ REJECT_CASES = (  # (input file name, its text, flags)
      "--emit=hls-c"),
     ("loopless.pc", _LOOPLESS, "-tile=4 --emit=affine"),
     ("loopless.pc", _LOOPLESS, "-subbb-tile=4 --emit=affine"),
+    ("duplicate-stmt.air", "module {\n  array A : float64 [4]\n  stmt S1() { A[0] = 1.0; }\n"
+     "  stmt S1() { A[0] = 2.0; }\n}\n", "--emit=hls-c"),
 )
+_RUN = "run --set N=4 --dump-arrays"
+_PC_LOOP = ("int N;\n%s B[N];\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++)\n"
+            "  %s;\n#pragma endscop\n")
+_AIR_LOOP = ("#map0 = affine_map<()[s0] -> (0)>\n#map1 = affine_map<()[s0] -> (s0)>\n"
+             "module {\n  symbol N\n  array B : %s64 [N]\n  array A : float64 [N]\n"
+             "  stmt S1(i) { %s; }\n  affine.for i = max #map0()[N] to min #map1()[N] {\n"
+             "    call @S1(i)\n  }\n}\n")
+_RUN_REJECTS = (  # (input name, B's element type, the statement that fails)
+    ("oob-read", "float", "B[i] = A[i + 1] + 1.0"),
+    ("oob-write", "float", "B[i + 1] = A[i] + 1.0"),
+    ("float-into-int", "int", "B[i] = A[i] + 1"),
+)
+REJECT_CASES += tuple(case for name, elem, stmt in _RUN_REJECTS for case in (
+    (name + ".pc", _PC_LOOP % (elem, stmt), _RUN),
+    (name + ".air", _AIR_LOOP % (elem, stmt), _RUN)))
 
 
 def programs():
@@ -161,7 +181,9 @@ def main(argv):
         with open(path, "w") as f:
             f.write(text)
         name = "reject-" + fname.replace(".", "-")
-        run(os.path.join(outdir, case_name(name, output)), [path] + output.split())
+        flags = output.split()
+        argv = flags[:1] + [path] + flags[1:] if flags[0] == "run" else [path] + flags
+        run(os.path.join(outdir, case_name(name, output)), argv)
         cases += 1
     for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
         name = "air-" + os.path.basename(path)[:-4]
