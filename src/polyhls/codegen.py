@@ -167,50 +167,32 @@ def simplify_bounds(module):
     def dominated(e1, e2, rows, nouter, drop_if):
         # drop_if "ge": drop e1 when e1 >= e2 always; "le": when e1 <= e2
         test = e2 - e1 - 1 if drop_if == "ge" else e1 - e2 - 1
-        cons = list(rows) + [(test, INEQ)]
-        s = IntegerSet.from_constraints(nouter, ns, cons)
-        return s.is_empty()
+        return IntegerSet.from_constraints(nouter, ns, rows + [(test, INEQ)]).is_empty()
 
     def prune(results, rows, nouter, drop_if):
         keep = list(results)
         i = 0
         while i < len(keep):
-            removed = False
-            for j, other in enumerate(keep):
-                if i == j:
-                    continue
-                if dominated(keep[i], other, rows, nouter, drop_if):
-                    keep.pop(i)
-                    removed = True
-                    break
-            if not removed:
+            if any(j != i and dominated(keep[i], other, rows, nouter, drop_if)
+                   for j, other in enumerate(keep)):
+                keep.pop(i)
+            else:
                 i += 1
         return tuple(keep)
 
     ctx_rows = list(default_context(module.symbols).constraints)
 
-    def walk(ops, rows, nouter):
-        out = []
-        for op in ops:
-            if isinstance(op, For):
-                lo = prune(op.lb.map.results, rows, nouter, "le")
-                up = prune(op.ub.map.results, rows, nouter, "ge")
-                var = DimRef(nouter)
-                inner = list(rows)
-                for e in lo:
-                    inner.append((var - e, INEQ))
-                for e in up:
-                    inner.append((e - var, INEQ))
-                body = walk(op.body, inner, nouter + 1)
-                out.append(For(op.var,
-                               MapRef(AffineMap(nouter, ns, lo), op.lb.dims, op.lb.syms),
-                               MapRef(AffineMap(nouter, ns, up), op.ub.dims, op.ub.syms),
-                               op.parallel, body))
-            elif isinstance(op, If):
-                out.append(If(op.cond, walk(op.then, rows, nouter), walk(op.els, rows, nouter)))
-            else:
-                out.append(op)
-        return tuple(out)
+    def simplify(op, state):
+        if not isinstance(op, For):
+            return op, state
+        rows, nouter = state
+        lo = prune(op.lb.map.results, rows, nouter, "le")
+        up = prune(op.ub.map.results, rows, nouter, "ge")
+        var = DimRef(nouter)
+        inner = rows + [(var - e, INEQ) for e in lo] + [(e - var, INEQ) for e in up]
+        return For(op.var, MapRef(AffineMap(nouter, ns, lo), op.lb.dims, op.lb.syms),
+                   MapRef(AffineMap(nouter, ns, up), op.ub.dims, op.ub.syms),
+                   op.parallel, op.body), (inner, nouter + 1)
 
-    body = walk(module.body, ctx_rows, 0)
+    body = fe.rebuild(module.body, simplify, (ctx_rows, 0))
     return AffineIrModule(module.symbols, module.arrays, module.stmts, body)

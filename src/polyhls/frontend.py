@@ -11,12 +11,16 @@ polyhedral model.
 The expression tree is also the standard level's (loop bounds and guards
 of :mod:`polyhls.hls`, with :class:`Call` for its bound helpers);
 :func:`format_expr` is its one printer and :func:`evaluate` its one
-evaluator.
+evaluator.  The statement trees of every level (``.pc`` statements, affine
+ops, standard-level ops, the C kernel) share one walk (:func:`walk`), one
+block printer (:func:`format_nest`) and one top-down rebuild
+(:func:`rebuild`), which all find a node's blocks in its ``body``, or in
+its ``then`` and ``els``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InterpError, ParseError, UnsupportedConstructError
 from .lexer import Cursor
@@ -342,7 +346,7 @@ class _Parser:
 def parse_program(source):
     """Parse `.pc` source into a :class:`Program`."""
     prog = _Parser(Cursor(source)).program()
-    _check_nest(prog.body)
+    _check_nest(prog)
     return prog
 
 
@@ -375,11 +379,14 @@ def parse_extents_at(cur, reserved, what):
     return tuple(extents)
 
 
-def _check_nest(body):
+def _check_nest(prog):
     """Reject a ``#pragma scop``/``endscop`` below the top level or out of
-    pairs, and a loop variable that an enclosing loop already binds."""
+    pairs, and a loop variable that an enclosing loop or a declaration
+    already binds."""
+    declared = {n: "a symbol" for n in prog.symbols}
+    declared.update((a.name, "an array") for a in prog.arrays)
     depth = 0
-    for s, path in walk(body):
+    for s, path in walk(prog.body):
         if isinstance(s, ScopBegin):
             if path:
                 raise ParseError("#pragma scop must appear at top level", *s.pos)
@@ -392,6 +399,8 @@ def _check_nest(body):
             depth -= 1
         elif isinstance(s, For) and any(isinstance(o, For) and o.var == s.var for o in path):
             raise ParseError("loop variable %r shadows an enclosing loop" % s.var, *s.pos)
+        elif isinstance(s, For) and s.var in declared:
+            raise ParseError("loop variable %r shadows %s" % (s.var, declared[s.var]), *s.pos)
     if depth:
         raise ParseError("missing #pragma endscop")
 
@@ -400,12 +409,12 @@ def _check_nest(body):
 
 
 def _blocks(node):
-    """The blocks of a tree node: its `body`, or its `then` and `els`; a
-    leaf has none."""
+    """The fields that hold a tree node's blocks: its `body`, or its `then`
+    and `els`; a leaf has none."""
     if hasattr(node, "body"):
-        return (node.body,)
+        return ("body",)
     if hasattr(node, "then"):
-        return (node.then, node.els)
+        return ("then", "els")
     return ()
 
 
@@ -416,7 +425,22 @@ def walk(nodes, path=()):
     for node in nodes:
         yield node, path
         for block in _blocks(node):
-            yield from walk(block, path + (node,))
+            yield from walk(getattr(node, block), path + (node,))
+
+
+def rebuild(nodes, fn, state=None):
+    """The tree `nodes` rebuilt from the top down: `fn(node, state)` gives a
+    node's new form and the state for its blocks, and the blocks of that
+    form are then rebuilt with it in turn, so a parent is rebuilt before
+    its children."""
+    out = []
+    for node in nodes:
+        new, inner = fn(node, state)
+        blocks = _blocks(new)
+        if blocks:
+            new = replace(new, **{b: rebuild(getattr(new, b), fn, inner) for b in blocks})
+        out.append(new)
+    return tuple(out)
 
 
 def format_nest(nodes, head, depth=0):
@@ -428,7 +452,7 @@ def format_nest(nodes, head, depth=0):
     pad = "  " * depth
     for node in nodes:
         lines += head(node, pad)
-        blocks = _blocks(node)
+        blocks = [getattr(node, b) for b in _blocks(node)]
         for k, block in enumerate(blocks):
             if k and block:
                 lines.append(pad + "} else {")

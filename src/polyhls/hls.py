@@ -55,7 +55,10 @@ class HlsProgram:
 # affine -> standard expression conversion
 
 
-def _fold(fn, exprs):
+def _fold(fn, mr):
+    """`fn` (max or min) of the C forms of the map reference `mr`'s results,
+    left to right."""
+    exprs = [_cexpr(r, list(mr.dims), list(mr.syms)) for r in mr.map.results]
     out = exprs[0]
     for e in exprs[1:]:
         out = fe.Call(fn, (out, e))
@@ -102,24 +105,17 @@ def lower_to_standard(m: AffineIrModule) -> AffineIrModule:
     min/max/floord/ceild arithmetic, and `parallel_for` becomes an
     annotated sequential loop."""
 
-    def conv(ops):
-        out = []
-        for op in ops:
-            if isinstance(op, For):
-                lo = _fold("max", [_cexpr(r, list(op.lb.dims), list(op.lb.syms))
-                                   for r in op.lb.map.results])
-                up = _fold("min", [_cexpr(r, list(op.ub.dims), list(op.ub.syms))
-                                   for r in op.ub.map.results])
-                out.append(CFor(op.var, lo, up, op.parallel, conv(op.body)))
-            elif isinstance(op, If):
-                out.append(CGuard(_cond_from_setref(op.cond), conv(op.then), conv(op.els)))
-            elif isinstance(op, Call):
-                out.append(op)
-            else:
-                raise CodegenError("unknown op %r" % (op,))
-        return tuple(out)
+    def lower(op, state):
+        if isinstance(op, For):
+            return CFor(op.var, _fold("max", op.lb), _fold("min", op.ub), op.parallel,
+                        op.body), None
+        if isinstance(op, If):
+            return CGuard(_cond_from_setref(op.cond), op.then, op.els), None
+        if isinstance(op, Call):
+            return op, None
+        raise CodegenError("unknown op %r" % (op,))
 
-    return replace(m, body=conv(m.body))
+    return replace(m, body=fe.rebuild(m.body, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -175,25 +171,15 @@ def insert_directives(p: HlsProgram, policy: DirectivePolicy = DirectivePolicy()
     trip count within the policy limit get `unroll factor=<trip>`; parallel
     loops with symbolic bounds get nothing."""
 
-    def mark(ops):
-        out = []
-        for op in ops:
-            if isinstance(op, CFor):
-                body = mark(op.body)
-                pipe = not any(isinstance(o, CFor) for o, _ in fe.walk(op.body))
-                unroll = None
-                if op.parallel:
-                    trip = _trip_count(op)
-                    if trip is not None and 1 <= trip <= policy.unroll_limit:
-                        unroll = trip
-                out.append(replace(op, body=body, pipeline=pipe, unroll=unroll))
-            elif isinstance(op, CGuard):
-                out.append(replace(op, then=mark(op.then), els=mark(op.els)))
-            else:
-                out.append(op)
-        return tuple(out)
+    def mark(op, state):
+        if not isinstance(op, CFor):
+            return op, None
+        pipe = not any(isinstance(o, CFor) for o, _ in fe.walk(op.body))
+        trip = _trip_count(op) if op.parallel else None  # None, or 0 or more
+        unroll = trip if trip and trip <= policy.unroll_limit else None
+        return replace(op, pipeline=pipe, unroll=unroll), None
 
-    return replace(p, kernel=mark(p.kernel))
+    return replace(p, kernel=fe.rebuild(p.kernel, mark))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ with what it checks), the Scop scanner, and one loop-nest walker for
 the module at either level and the HLS kernel.  They walk their loops and
 evaluate bounds and guards with `frontend.evaluate`; each statement
 template is compiled once per run (`_compile_stmt`) to a Python function
-of its loop vars that has `frontend.evaluate`'s semantics and order, and
-every instance calls it.
+of its loop vars, one line per node that computes a value, written after
+its children's, so it has `frontend.evaluate`'s semantics and order; every
+instance calls it.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -150,16 +150,18 @@ def _compile_stmt(assign, params, machine, name, trace_pos):
     The function does what `fe.evaluate` and `Array.store` do, in their
     order: it appends the trace entry (the params at `trace_pos`), evaluates
     the target's subscripts, then the rhs from left to right with each load
-    checked as it is read, then stores.  A subscript whose every value is
-    an int is checked inline; a failed check, any other subscript and a
-    value of unknown type go through `Array.offset`/`Array.store`, and an
-    unbound name or unknown node through `fe.evaluate`, so each message is
-    built where the reference builds it.  Every `InterpError` gets the
-    instance's ``at S(i, j)``.  The source names only parameters (`p0`),
-    temporaries (`t0`) and namespace constants (`c0`)."""
+    checked as it is read, then stores.  Each node that computes a value is
+    one line ``tN = ...``, written when the node is visited, after its
+    children's, so the lines run in `fe.evaluate`'s order.  A subscript
+    whose every value is an int is checked inline; a failed check, any
+    other subscript and a value of unknown type go through
+    `Array.offset`/`Array.store`, and an unbound name or unknown node
+    through `fe.evaluate`, so each message is built where the reference
+    builds it.  Every `InterpError` gets the instance's ``at S(i, j)``.
+    The source names only parameters (`p0`), temporaries (`t0`) and
+    namespace constants (`c0`)."""
     ns = {"InterpError": InterpError}
     body = []
-    temps = itertools.count()
     var = {p: ("p%d" % k, int) for k, p in enumerate(params)}  # the inner loop wins
     elem_types = {}
 
@@ -168,23 +170,13 @@ def _compile_stmt(assign, params, machine, name, trace_pos):
         ns[key] = v
         return key
 
-    def temp(src, at=None):
-        t = "t%d" % next(temps)
-        body.insert(len(body) if at is None else at, "%s = %s" % (t, src))
+    def temp(src):
+        t = "t%d" % len(body)
+        body.append("%s = %s" % (t, src))
         return t
 
-    def pair(x, y):
-        # `x` is computed before anything `y` runs
-        a, ta = expr(x)
-        mark = len(body)
-        b, tb = expr(y)
-        if len(body) > mark and a.startswith("("):
-            a = temp(a, mark)
-        return a, ta, b, tb
-
     def expr(e):
-        """Source of `e`'s value and its static type; loads, calls and
-        fallbacks to the reference evaluator become statements, in order."""
+        """Name of `e`'s value and its static type."""
         kind = type(e)
         if kind is fe.Name and e.ident in var:
             return var[e.ident]
@@ -194,25 +186,18 @@ def _compile_stmt(assign, params, machine, name, trace_pos):
         if kind is fe.IntLit or kind is fe.FloatLit:
             return const(e.value), _static(e.value)
         if kind is fe.BinOp:
-            a, ta, b, tb = pair(e.lhs, e.rhs)
+            (a, ta), (b, tb) = expr(e.lhs), expr(e.rhs)
             op = e.op if e.op in ("+", "-") else "*"
-            return "(%s %s %s)" % (a, op, b), _join(ta, tb, True)
+            return temp("%s %s %s" % (a, op, b)), _join(ta, tb, True)
         if kind is fe.ArrayRef:
             return load(e)
         if kind is fe.Call and e.fn in _CALLS and len(e.args) == 2:
-            a, ta, b, tb = pair(*e.args)
+            (a, ta), (b, tb) = map(expr, e.args)
             return temp(_CALLS[e.fn] % (a, b)), _join(ta, tb, e.fn in ("floord", "ceild"))
         env = "".join("%s: p%d, " % (const(p), k) for k, p in enumerate(params))
         src = "%s(%s, {**%s, %s}, %s)" % (const(fe.evaluate), const(e), const(machine.symbols),
                                            env, const(machine.load))
         return temp(src), None
-
-    def subscripts(ref):
-        subs = []
-        for s in ref.subs:
-            src, t = expr(s)
-            subs.append((temp(src) if src.startswith("(") else src, t))
-        return subs
 
     def elem_type(arr):
         # stores keep an int array int and a float array float, so the
@@ -244,7 +229,7 @@ def _compile_stmt(assign, params, machine, name, trace_pos):
         return arr
 
     def load(ref):
-        subs = subscripts(ref)
+        subs = [expr(s) for s in ref.subs]
         arr = array(ref.array)
         if arr is None:
             return "None", None
@@ -253,15 +238,13 @@ def _compile_stmt(assign, params, machine, name, trace_pos):
     target = assign.ref
     arr = array(target.array)
     if arr is not None:
-        subs = subscripts(target)
+        subs = [expr(s) for s in target.subs]
         v, tv = expr(assign.rhs)
         if arr.elem == fe.INT64 and tv is not int:
             body.append("%s.store([%s], %s)" % (const(arr), ", ".join(s for s, _ in subs), v))
         else:
-            if arr.elem == fe.FLOAT64 and tv is not float:
-                v = "float(%s)" % v
-            if "(" in v:  # computed before the check, as `Array.store` does
-                v = temp(v)
+            if arr.elem == fe.FLOAT64 and tv is not float:  # before the check, as `Array.store`
+                v = temp("float(%s)" % v)
             body.append("%s[%s] = %s" % (const(arr.data), offset(arr, subs), v))
 
     idxs = "(%s)" % "".join("p%d, " % k for k in trace_pos)

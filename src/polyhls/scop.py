@@ -3,6 +3,7 @@ schedules, and read/write access relations, built in one pass."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 from . import frontend as fe
@@ -145,36 +146,33 @@ def _build_scop(program, region, name, context):
     stmts = []
     names = stmt_names(region)
 
-    def walk(nodes, loops, conds, path):
-        # path: textual-position constants accumulated so far (len(loops)+1
-        # entries, last one mutable as we pass children)
-        pos = 0
+    def walk(nodes, loops, conds, path, pos):
+        # path: the textual-position constants of the enclosing loops; pos
+        # counts the positions in the innermost body, shared by its `if` blocks
+        conv = _AffineConv([v for v, _, _ in loops], symbols)
         for node in nodes:
             if isinstance(node, fe.For):
-                conv = _AffineConv([v for v, _, _ in loops], symbols)
                 try:
                     lb = conv.conv(node.lower)
                     ub = conv.conv(node.upper) - 1  # inclusive
                 except NonAffineError as e:
                     raise NonAffineError("loop bound of %r: %s" % (node.var, e))
-                walk(node.body, loops + [(node.var, lb, ub)], conds, path + [pos])
-                pos += 1
+                walk(node.body, loops + [(node.var, lb, ub)], conds, path + [next(pos)],
+                     itertools.count())
             elif isinstance(node, fe.If):
-                conv = _AffineConv([v for v, _, _ in loops], symbols)
                 cond = (conv, node.op, node.lhs, node.rhs)
-                walk(node.then, loops, conds + _cond_constraints(*cond), path)
+                walk(node.then, loops, conds + _cond_constraints(*cond), path, pos)
                 if node.els:
-                    walk(node.els, loops, conds + _cond_constraints(*cond, negate=True), path)
+                    walk(node.els, loops, conds + _cond_constraints(*cond, negate=True), path, pos)
             elif isinstance(node, fe.Assign):
                 stmts.append(_build_stmt(program, node, names[id(node)], loops, conds,
-                                         path + [pos]))
-                pos += 1
+                                         path + [next(pos)]))
             elif isinstance(node, (fe.ScopBegin, fe.ScopEnd)):
                 raise ParseError("nested #pragma scop", *node.pos)
             else:
                 raise NonAffineError("unsupported statement inside SCoP")
 
-    walk(region, [], [], [])
+    walk(region, [], [], [], itertools.count())
     if len({s.name for s in stmts}) != len(stmts):
         raise ParseError("duplicate statement name in SCoP %s" % name)
     # pad every schedule with trailing zeros to the deepest one

@@ -210,6 +210,41 @@ for (i = 0; i < N; i++) {
 """, depth=1)
 
 
+# Not in ALL either: the first nest sits under an `if` and the second reads
+# A backwards, so the two nests are right only one after the other; every
+# tiling of them is illegal.  In GUARDED_UPDATE the guarded statement reads
+# what the one before it wrote in the same iteration.
+GUARDED_NEST = CorpusProgram("guarded-nest", """\
+int N;
+float A[N];
+float B[N];
+#pragma scop
+if (N >= 2) {
+  for (i = 0; i < N; i++) {
+    A[i] = B[i] + 1.0;
+  }
+}
+for (i = 0; i < N; i++) {
+  B[i] = A[N - 1 - i] * 2.0;
+}
+#pragma endscop
+""", depth=1)
+
+GUARDED_UPDATE = CorpusProgram("guarded-update", """\
+int N;
+float A[N];
+float B[N];
+#pragma scop
+for (i = 0; i < N; i++) {
+  A[i] = B[i] + 1.0;
+  if (i >= 1) {
+    B[i] = A[i] * 2.0;
+  }
+}
+#pragma endscop
+""", depth=1)
+
+
 def parse(p: CorpusProgram):
     return fe.parse_program(p.source)
 

@@ -12,6 +12,7 @@ import pytest
 from polyhls import frontend as fe, hls, interp
 from polyhls.codegen import generate_loops, simplify_bounds
 from polyhls.dependence import FLOW, compute_dependences, is_loop_parallel
+from polyhls.errors import IllegalTilingError
 from polyhls.ir import Call, For, If, parse_ir, print_ir
 from polyhls.scop import build_scop
 from polyhls.transforms import (TilingSpec, sub_bounding_box_tile, tile,
@@ -322,6 +323,32 @@ def test_strided_kernel_matches_on_every_level(tmp_path):
                 bad += [(pname, n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
             checked += 1
     assert bad == [] and checked == 6
+
+
+def test_guarded_nest_keeps_its_place_on_every_level(tmp_path):
+    # the nest under the `if` runs wholly before the next nest, which reads
+    # A backwards: fused, the two would read A before it is written
+    prog = corpus.parse(corpus.GUARDED_NEST)
+    scop = build_scop(prog)[0]
+    module = simplify_bounds(generate_loops(scop))
+    assert [type(op) for op in module.body] == [For, For]
+    p = hls.insert_directives(hls.partition(module, scop.name))
+    reps = (scop, parse_ir(print_ir(module)), hls.lower_to_standard(module), p)
+    exe = _build_c(tmp_path, "guarded-nest", p) if shutil.which("cc") else None
+    bad = []
+    for n in (3, 6, 9):
+        symbols = {"N": n}
+        init = corpus.init_arrays(prog, symbols, seed=n)
+        want = interp.run(prog, symbols, init).arrays
+        for rep in reps:
+            got = interp.run(rep, symbols, init).arrays
+            bad += [(n, type(rep).__name__, a) for a in want
+                    if repr(got[a].data) != repr(want[a].data)]
+        if exe is not None:
+            bad += [(n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
+    assert bad == []
+    with pytest.raises(IllegalTilingError, match=r"flow S1\(i=1\) -> S2\(i=0\) at N=2$"):
+        tile(scop, TilingSpec((4,)))
 
 
 def test_unary_minus_keeps_the_sign_of_zero(tmp_path):

@@ -103,6 +103,14 @@ class TestSimpleCases:
         deps = compute_dependences(scop)
         assert [(d.kind, d.distance) for d in deps] == [(FLOW, (1,))]
 
+    def test_guarded_statement_follows_its_neighbour(self):
+        # S2, under an `if`, comes after S1 in the same iteration
+        scop = build_scop(corpus.parse(corpus.GUARDED_UPDATE))[0]
+        deps = compute_dependences(scop)
+        assert sorted((d.kind, d.source, d.target, d.distance) for d in deps) == \
+            sorted([(FLOW, "S1", "S2", (0,)), (ANTI, "S1", "S2", (0,))])
+        assert relation_pairs(scop, deps, 5) == brute_force_pairs(scop, 5)
+
 
 _PIPELINES = {
     "none": lambda s, sizes: s,

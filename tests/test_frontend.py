@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from polyhls import frontend as fe
+from polyhls import frontend as fe, hls
 from polyhls.errors import ParseError, UnsupportedConstructError
 from polyhls.ir import Call, For, If
 
@@ -107,6 +107,17 @@ class TestParse:
             fe.parse_program(src)
         assert (err.value.line, err.value.col) == (5, 3)
 
+    @pytest.mark.parametrize("decls, what", [
+        ("int B;\nfloat A[4];\n", "a symbol"),
+        ("int N;\nfloat B[N];\nfloat A[N];\n", "an array"),
+    ], ids=["symbol", "array"])
+    def test_loop_var_shadowing_declaration_rejected(self, decls, what):
+        # codegen would rename the loop, and `.air` rejects the same name
+        src = decls + "#pragma scop\nfor (B = 0; B < 4; B++)\n  A[B] = 1.0;\n#pragma endscop\n"
+        with pytest.raises(ParseError, match="loop variable 'B' shadows %s" % what) as err:
+            fe.parse_program(src)
+        assert (err.value.line, err.value.col) == (len(decls.splitlines()) + 2, 1)
+
     @pytest.mark.parametrize("decls, name, pos", [
         ("int N;\nint N;\n", "N", (2, 5)),
         ("int N;\nfloat N[4];\n", "N", (2, 7)),
@@ -149,6 +160,42 @@ class TestTrees:
         tree = (For("i", None, None, False, ()),)
         lines = fe.format_nest(tree, lambda n, pad: [pad + "pre", pad + "for {", "#pragma"])
         assert lines == ["pre", "for {", "#pragma", "}"]
+
+    def test_rebuild_passes_state_to_each_block(self):
+        # the state a node gives reaches every node of its blocks
+        call = Call("S1", ("i",))
+        tree = (For("i", None, None, False, (If(None, (call,), (call,)),)), call)
+        seen = []
+
+        def fn(node, depth):
+            seen.append((type(node).__name__, depth))
+            return node, depth + 1
+
+        assert fe.rebuild(tree, fn, 0) == tree
+        assert seen == [("For", 0), ("If", 1), ("Call", 2), ("Call", 2), ("Call", 0)]
+
+    def test_rebuild_may_change_a_node_type(self):
+        # a For becomes a CFor; the blocks of the new form are rebuilt
+        call = Call("S1", ("i",))
+        tree = (For("i", None, None, True, (For("j", None, None, False, (call,)),)),)
+
+        def fn(node, state):
+            if isinstance(node, For):
+                return hls.CFor(node.var, None, None, node.parallel, node.body), state
+            return node, state
+
+        inner = hls.CFor("j", None, None, False, (call,))
+        assert fe.rebuild(tree, fn) == (hls.CFor("i", None, None, True, (inner,)),)
+
+    def test_rebuild_visits_a_parent_before_its_children(self):
+        # so an error in a parent is raised before one in a child
+        tree = (For("i", None, None, False, (For("j", None, None, False, ()),)),)
+
+        def fn(node, state):
+            raise ValueError(node.var)
+
+        with pytest.raises(ValueError, match="^i$"):
+            fe.rebuild(tree, fn)
 
 
 class TestPrintRoundTrip:

@@ -124,9 +124,11 @@ class TestTrace:
         assert tiled != orig  # the order genuinely changed
 
     def test_scop_trace_equals_source_trace(self):
-        # the last source's second nest runs j outside i: S2's coordinates
-        # are (j, i), whatever order the first nest used
-        for source in [entry.source for entry in corpus.ALL + (corpus.TWO_NEST,)]:
+        # TWO_NEST's second nest runs j outside i: S2's coordinates are
+        # (j, i), whatever order the first nest used; GUARDED_NEST's first
+        # nest is under an `if`
+        for source in [entry.source
+                       for entry in corpus.ALL + (corpus.TWO_NEST, corpus.GUARDED_NEST)]:
             prog = fe.parse_program(source)
             scop = build_scop(prog)[0]
             for n in (2, 6):

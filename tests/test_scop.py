@@ -118,6 +118,18 @@ class TestOriginalSchedule:
         assert s2.schedule.results == (Const(0), DimRef(0), Const(1),
                                        Const(0), Const(0))
 
+    @pytest.mark.parametrize("prog, positions", [
+        (corpus.parse(corpus.GUARDED_NEST), [(0, 0), (1, 0)]),
+        (corpus.parse(corpus.GUARDED_UPDATE), [(0, 0), (0, 1)]),
+        (_if_else_program("<"), [(0, 0, 0), (0, 0, 1)]),
+    ], ids=["if-around-loop", "if-after-stmt", "if-else"])
+    def test_if_blocks_share_their_body_positions(self, prog, positions):
+        # an `if` takes no position, and its blocks count on from the
+        # statements before it
+        scop = build_scop(prog)[0]
+        assert [tuple(r.const for r in s.schedule.results if r.is_const)
+                for s in scop.statements] == positions
+
     def test_schedule_order_matches_source(self):
         # schedule-lexicographic order == textual execution order
         scop = _stencil_scop()

@@ -3,8 +3,9 @@
     python3 tools/emit_matrix.py OUTDIR
 
 Runs `poly-hls` in-process (`cli.main`, with `polyhls` imported from this
-checkout's `src/`) on every `tests/corpus.py` program, `TWO_NEST` and
-`JACOBI_2D` included, and on every `perfbench/programs/*.pc`.  Each program
+checkout's `src/`) on every `tests/corpus.py` program, `TWO_NEST`,
+`JACOBI_2D`, `GUARDED_NEST` and `GUARDED_UPDATE` included, and on every
+`perfbench/programs/*.pc`.  Each program
 runs untransformed and under tile, tile+wavefront and subbb-tile at band
 depth min(2, d) and at its full loop depth d (tile size 4), with
 `--emit=affine|std|hls-c`, `--dump=scop|deps|bounds` and `--verify-each
@@ -61,6 +62,8 @@ _LOOPLESS = "float A[4];\n#pragma scop\nA[0] = A[1] + 1.0;\n#pragma endscop\n"
 REJECT_CASES = (  # (input file name, its text, flags)
     ("shadowed-loop-var.pc", "int N;\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++)\n"
      "  for (i = 0; i < 2; i++)\n    A[i] = A[i] + 1.0;\n#pragma endscop\n", "--dump=scop"),
+    ("array-loop-var.pc", "int N;\nfloat B[N];\nfloat A[N];\n#pragma scop\n"
+     "for (B = 0; B < N; B++)\n  A[B] = 1.0;\n#pragma endscop\n", "--emit=hls-c"),
     ("duplicate-symbol.pc", "int N;\nint N;\nfloat A[N];\n#pragma scop\n#pragma endscop\n",
      "--emit=hls-c"),
     ("symbol-array-clash.pc", "int N;\nfloat N[4];\n#pragma scop\n#pragma endscop\n",
@@ -91,7 +94,8 @@ REJECT_CASES += tuple(case for name, elem, stmt in _RUN_REJECTS for case in (
 
 def programs():
     """(name, .pc source) of every input."""
-    for entry in corpus.ALL + (corpus.TWO_NEST, corpus.JACOBI_2D):
+    for entry in corpus.ALL + (corpus.TWO_NEST, corpus.JACOBI_2D, corpus.GUARDED_NEST,
+                               corpus.GUARDED_UPDATE):
         yield "corpus-" + entry.name, entry.source
     for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "programs", "*.pc"))):
         with open(path) as f:
