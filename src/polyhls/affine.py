@@ -19,10 +19,13 @@ terms of a printed expression and sorts and dedups the results of
 :meth:`IntegerSet.loop_bounds`, which fixes the order of the ``max`` /
 ``min`` results of every generated bound map.
 
-Constraint systems (:class:`IntegerSet`) store pure linear rows; div/mod
-terms are lowered by introducing existential dimensions so Fourier-Motzkin
-elimination stays applicable.  All arithmetic uses Python's
-arbitrary-precision integers, so nothing can silently overflow.
+Constraint systems (:class:`IntegerSet`) store pure linear rows, written
+straight from the form: each distinct floordiv(x, b) becomes one
+existential q, ``b*q <= x <= b*q + b - 1``, nested ones first (ceildiv(x,
+b) is floordiv(x + b - 1, b), mod(x, b) is x - b*q).  `_chain` eliminates
+the columns of a set one by one and `_dim_bounds` reads a variable's
+bounds off its link, for the scanner, `is_empty`, `range_of` and
+`loop_bounds`.  Python integers cannot silently overflow.
 
 Column order of a constraint row: dims, existentials, symbols, constant.
 """
@@ -216,13 +219,6 @@ EQ = "eq"
 INEQ = "ineq"  # expr >= 0
 
 
-def _row_gcd(vals):
-    g = 0
-    for v in vals:
-        g = gcd(g, abs(v))
-    return g
-
-
 def _norm_row(coeffs, is_eq):
     """Canonicalize one row; returns None for a trivially true row.
 
@@ -231,23 +227,13 @@ def _norm_row(coeffs, is_eq):
     divisible by the coefficient gcd are rewritten to the canonical false
     row (0 >= -1 shape is kept as an explicit contradiction).
     """
-    coeffs = list(coeffs)
-    const = coeffs[-1]
-    var = coeffs[:-1]
-    g = _row_gcd(var)
+    *var, const = coeffs
+    g = gcd(*var)
     if g == 0:
-        if is_eq:
-            if const != 0:
-                return _false_row(len(var))
-            return None
-        if const < 0:
-            return _false_row(len(var))
-        return None
-    if is_eq:
-        if const % g != 0:
-            return _false_row(len(var))
-        return (tuple(v // g for v in var) + (const // g,), True)
-    return (tuple(v // g for v in var) + (const // g if const >= 0 else -((-const + g - 1) // g),), False)
+        return _false_row(len(var)) if _is_false_row((coeffs, is_eq)) else None
+    if is_eq and const % g:
+        return _false_row(len(var))
+    return (tuple(v // g for v in var) + (const // g,), is_eq)
 
 
 def _false_row(nvar):
@@ -284,6 +270,16 @@ def _prune_rows(rows):
     return tuple(out)
 
 
+def _insert_cols(rows, at, count):
+    """`rows` with `count` zero columns inserted before column `at`."""
+    return tuple((coeffs[:at] + (0,) * count + coeffs[at:], is_eq) for coeffs, is_eq in rows)
+
+
+def _canon(rows):
+    """`rows` normalized and pruned, the trivially true ones dropped."""
+    return _prune_rows(r for r in (_norm_row(*r) for r in rows) if r is not None)
+
+
 def _drop_col(coeffs, col):
     return coeffs[:col] + coeffs[col + 1:len(coeffs)]
 
@@ -313,10 +309,8 @@ def _eliminate_col(rows, col):
                 # multiplier on the ineq row must stay positive
                 s = d if a > 0 else -d
                 new = tuple(abs(a) * x - s * y for x, y in zip(coeffs, pc))
-            r = _norm_row(_drop_col(new, col), is_eq)
-            if r is not None:
-                out.append(r)
-        return _prune_rows(out)
+            out.append((_drop_col(new, col), is_eq))
+        return _canon(out)
     lowers, uppers = [], []
     for coeffs, is_eq in rows:
         c = coeffs[col]
@@ -356,24 +350,28 @@ class IntegerSet:
     @staticmethod
     def from_constraints(num_dims, num_syms, constraints, num_exists=0):
         """Build a set from (AffineExpr, kind) pairs, lowering div/mod terms
-        into existential dimensions.
+        into existential dimensions (see :func:`_number_divs`).
 
         In the expressions, dim indices ``[0, num_dims)`` are set dims and
         ``[num_dims, num_dims + num_exists)`` are pre-existing existentials.
         """
-        b = _LinBuilder(num_dims + num_exists, num_syms)
-        parsed = []
+        nd = num_dims + num_exists
+        qs = {}  # (operand, divisor) of each floordiv -> its new existential
+        cons = []
         for expr, kind in constraints:
             if kind not in (EQ, INEQ):
                 raise MalformedExpressionError("bad constraint kind %r" % (kind,))
-            vec = b.lin(expr)
-            parsed.append((vec, kind == EQ))
-        out = []
-        for vec, is_eq in parsed + [(v, False) for v in b.extra]:
-            r = _norm_row(b.materialize(vec, num_syms), is_eq)
-            if r is not None:
-                out.append(r)
-        return IntegerSet(num_dims, num_exists + b.num_new, num_syms, _prune_rows(out))
+            expr.check_range(nd, num_syms)
+            _number_divs(expr, qs)
+            cons.append((expr, kind == EQ))
+        width = nd + len(qs) + num_syms + 1
+        rows = [(_dense(expr, 1, [0] * width, nd, qs), is_eq) for expr, is_eq in cons]
+        for (x, b), q in qs.items():
+            # b*q <= x <= b*q + b - 1
+            lo, hi = _dense(x, 1, [0] * width, nd, qs), _dense(x, -1, [0] * width, nd, qs)
+            lo[nd + q], hi[nd + q], hi[-1] = -b, b, hi[-1] + b - 1
+            rows += [(lo, False), (hi, False)]
+        return IntegerSet(num_dims, num_exists + len(qs), num_syms, _canon(rows))
 
     # -- views ------------------------------------------------------------
 
@@ -396,9 +394,8 @@ class IntegerSet:
         """Fold concrete symbol values into the constants."""
         if len(sym_values) != self.num_syms:
             raise ArityMismatchError("expected %d symbol values" % self.num_syms)
-        rows = (_norm_row(*r) for r in _fold(self.rows, (), sym_values))
         return IntegerSet(self.num_dims, self.num_exists, 0,
-                          _prune_rows(r for r in rows if r is not None))
+                          _canon(_fold(self.rows, (), sym_values)))
 
     # -- enumeration (exact; requires no free symbols) ---------------------
 
@@ -413,18 +410,19 @@ class IntegerSet:
 
     # -- core operations ---------------------------------------------------
 
-    def project(self, dim):
-        """Fourier-Motzkin projection of one dim/existential column.
+    def eliminate(self, dims):
+        """The set with the dim or existential columns `dims` eliminated in
+        turn by Fourier-Motzkin.  Each column stays, with no coefficient,
+        so the other columns keep their indices.
 
         Rationally exact; the integer shadow may over-approximate.
         """
-        n = self.num_dims + self.num_exists
-        if not 0 <= dim < n:
-            raise ArityMismatchError("projected dim %d out of range" % dim)
-        rows = _eliminate_col(self.rows, dim)
-        if dim < self.num_dims:
-            return IntegerSet(self.num_dims - 1, self.num_exists, self.num_syms, rows)
-        return IntegerSet(self.num_dims, self.num_exists - 1, self.num_syms, rows)
+        rows = self.rows
+        for d in dims:
+            if not 0 <= d < self.num_dims + self.num_exists:
+                raise ArityMismatchError("eliminated dim %d out of range" % d)
+            rows = _insert_cols(_eliminate_col(rows, d), d, 1)
+        return IntegerSet(self.num_dims, self.num_exists, self.num_syms, rows)
 
     def is_empty(self):
         """True iff the set has no integer point.
@@ -436,7 +434,7 @@ class IntegerSet:
         """
         if self.num_syms == 0:
             return next(_scan(self.rows, self.num_dims + self.num_exists), None) is None
-        return _var_range(_chain(self.rows, self.num_vars)[0]) is None
+        return _range(_dim_bounds(_chain(self.rows, self.num_vars)[0], 0)) is None
 
     def where(self, constraints):
         """The set cut by (AffineExpr, kind) constraints over its dims and
@@ -451,7 +449,7 @@ class IntegerSet:
         None when the elimination proves the set empty.  ``lo == hi`` fixes
         `expr` on every point."""
         s = self.insert_dims(0, 1).where([(DimRef(0) - expr.insert_dims(0, 1), EQ)])
-        return _var_range(_chain(s.rows, s.num_vars)[0])
+        return _range(_dim_bounds(_chain(s.rows, s.num_vars)[0], 0))
 
     def loop_bounds(self, depth):
         """Symbolic (lowers, uppers) of each of the first `depth` dims, in
@@ -462,29 +460,29 @@ class IntegerSet:
         ``([], [])``."""
         if not 0 <= depth <= self.num_dims:
             raise ArityMismatchError("depth %d out of range" % depth)
-        chain = _chain(self.rows, self.num_dims + self.num_exists)
-        return [_dim_bounds(chain[dim], dim) for dim in range(depth)]
+        out = []
+        for dim, link in enumerate(_chain(self.rows, self.num_dims + self.num_exists)[:depth]):
+            b = _dim_bounds(link, dim)
+            if b is not None and not all(b):
+                raise UnboundedDimensionError("dim %d has no finite %s bound"
+                                              % (dim, "upper" if b[0] else "lower"))
+            out.append(b or ([], []))
+        return out
 
     def insert_dims(self, at, count):
         """Add ``count`` fresh unconstrained dims at position ``at``."""
         if not 0 <= at <= self.num_dims:
             raise ArityMismatchError("insertion point out of range")
-        rows = []
-        for coeffs, is_eq in self.rows:
-            rows.append((coeffs[:at] + (0,) * count + coeffs[at:], is_eq))
-        return IntegerSet(self.num_dims + count, self.num_exists, self.num_syms, tuple(rows))
+        return IntegerSet(self.num_dims + count, self.num_exists, self.num_syms,
+                          _insert_cols(self.rows, at, count))
 
     def intersect(self, other):
         if (self.num_dims, self.num_syms) != (other.num_dims, other.num_syms):
             raise ArityMismatchError("intersect arity mismatch")
         nd = self.num_dims
-        ne = self.num_exists + other.num_exists
-        rows = []
-        for coeffs, is_eq in self.rows:
-            rows.append((coeffs[:nd + self.num_exists] + (0,) * other.num_exists + coeffs[nd + self.num_exists:], is_eq))
-        for coeffs, is_eq in other.rows:
-            rows.append((coeffs[:nd] + (0,) * self.num_exists + coeffs[nd:], is_eq))
-        return IntegerSet(nd, ne, self.num_syms, _prune_rows(rows))
+        rows = (_insert_cols(self.rows, nd + self.num_exists, other.num_exists)
+                + _insert_cols(other.rows, nd, self.num_exists))
+        return IntegerSet(nd, self.num_exists + other.num_exists, self.num_syms, _prune_rows(rows))
 
     def __str__(self):
         return format_set(self)
@@ -492,10 +490,14 @@ class IntegerSet:
 
 def _dim_bounds(rows, dim):
     """(lowers, uppers) of variable `dim` in rows over variables 0..dim and
-    the symbols; ``([], [])`` when a row is false."""
+    the symbols (the rows of its `_chain` link): sorted, deduplicated forms
+    over the variables before it and the symbols, one from each row that
+    bounds it on that side.  A side that no row bounds is empty; the result
+    is None when a row is false.  This is the one reader of a variable's
+    bounds."""
     if any(_is_false_row(r) for r in rows):
-        return ([], [])
-    lowers, uppers = [], []
+        return None
+    lowers, uppers = set(), set()
     for coeffs, is_eq in rows:
         a = coeffs[dim]
         if a == 0:
@@ -504,40 +506,21 @@ def _dim_bounds(rows, dim):
         rest = _linear(coeffs[:dim], coeffs[dim + 1:-1], coeffs[-1])
         for a2, rest2 in [(a, rest)] + ([(-a, -rest)] if is_eq else []):
             if a2 > 0:
-                lowers.append(-rest2 if a2 == 1 else ceildiv(-rest2, a2))
+                lowers.add(-rest2 if a2 == 1 else ceildiv(-rest2, a2))
             else:
-                uppers.append(rest2 if a2 == -1 else floordiv(rest2, -a2))
-    if not lowers or not uppers:
-        side = "lower" if not lowers else "upper"
-        raise UnboundedDimensionError("dim %d has no finite %s bound" % (dim, side))
-    return sorted(set(lowers)), sorted(set(uppers))
+                uppers.add(rest2 if a2 == -1 else floordiv(rest2, -a2))
+    return sorted(lowers), sorted(uppers)
 
 
-def _var_range(rows):
-    """Integer (lo, hi) of the first variable of rows that constrain no
-    other variable; a side without a bound is None.  None when the rows
-    have no integer solution."""
-    lo, hi = None, None
-    for coeffs, is_eq in rows:
-        a, c = coeffs[0], coeffs[-1]
-        if a == 0:
-            if _is_false_row((coeffs, is_eq)):
-                return None
-            continue
-        if is_eq:
-            if c % a != 0:
-                return None
-            v = -c // a
-            lo = v if lo is None else max(lo, v)
-            hi = v if hi is None else min(hi, v)
-        elif a > 0:
-            # a*x + c >= 0  ->  x >= ceil(-c / a)
-            v = (-c + a - 1) // a
-            lo = v if lo is None else max(lo, v)
-        else:
-            # a*x + c >= 0, a < 0  ->  x <= floor(c / -a)
-            v = c // (-a)
-            hi = v if hi is None else min(hi, v)
+def _range(bounds, prefix=()):
+    """Integer (lo, hi) of a variable whose symbol-free `_dim_bounds` are
+    `bounds`, at the values `prefix` of the variables before it; a side
+    without a bound is None.  None when the range is empty."""
+    if bounds is None:
+        return None
+    lowers, uppers = bounds
+    lo = max((eval_expr(e, prefix) for e in lowers), default=None)
+    hi = min((eval_expr(e, prefix) for e in uppers), default=None)
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
@@ -573,20 +556,23 @@ def _scan(rows, nvars):
     """The integer points of `rows` over `nvars` variables (no symbols), in
     lexicographic order.
 
-    Each variable's range is the rows of its `_chain` link evaluated at
-    the current prefix.  The last link is `rows` itself, so the last
-    variable's range satisfies every row at the prefix and every point
-    yielded is in the set."""
+    Each variable's range is the `_range` of its `_chain` link's
+    `_dim_bounds`, read once per scan, at the current prefix.  The last
+    link is `rows` itself, and every row of a link that does not bound its
+    variable is implied by the links before it, so every point yielded is
+    in the set."""
     if any(_is_false_row(r) for r in rows):
         return
-    chain = _chain(rows, nvars)
+    if nvars == 0:
+        yield ()
+        return
+    bounds = [_dim_bounds(link, k) for k, link in enumerate(_chain(rows, nvars))]
 
     def walk(k, prefix):
-        bounds = _var_range([((coeffs[k], coeffs[-1] + sum(map(mul, coeffs, prefix))), is_eq)
-                             for coeffs, is_eq in chain[k]])
-        if bounds is None:
+        r = _range(bounds[k], prefix)
+        if r is None:
             return
-        lo, hi = bounds
+        lo, hi = r
         if lo is None or hi is None:
             raise UnboundedDimensionError("enumeration over an unbounded set")
         if k == nvars - 1:
@@ -596,70 +582,43 @@ def _scan(rows, nvars):
             for v in range(lo, hi + 1):
                 yield from walk(k + 1, prefix + (v,))
 
-    if nvars == 0:
-        yield ()
-    else:
-        yield from walk(0, ())
+    yield from walk(0, ())
 
 
-class _LinBuilder:
-    """Linearizes expressions into {column key: coefficient} vectors,
-    allocating one existential ("q", k) per distinct floordiv; ceildiv and
-    mod are rewritten onto floordiv."""
+def _floor_key(kind, op, b):
+    """(x, b) of the floordiv(x, b) that a div atom lowers to."""
+    return (AffineExpr(op.dims, op.syms, op.divs, op.const + b - 1) if kind == CEILDIV else op, b)
 
-    def __init__(self, num_dims, num_syms):
-        self.nd = num_dims
-        self.ns = num_syms
-        self.num_new = 0
-        self.extra = []  # constraint vectors (>= 0) defining the existentials
-        self._memo = {}
 
-    def lin(self, e):
-        e.check_range(self.nd, self.ns)
-        vec = {("d", i): c for i, c in e.dims}
-        vec.update((("s", j), c) for j, c in e.syms)
-        vec["const"] = e.const
-        for kind, op, b, c in e.divs:
-            q = self._floordiv(op + (b - 1) if kind == CEILDIV else op, b)
-            if kind == MOD:  # c * (op - b*q)
-                for k, v in self.lin(op).items():
-                    vec[k] = vec.get(k, 0) + c * v
-                c *= -b
-            vec[q] = vec.get(q, 0) + c
-        return vec
+def _number_divs(e, qs):
+    """Give each distinct floordiv that a div atom of `e` lowers to the
+    next existential number in `qs` ((operand, divisor) -> number), the
+    floordivs nested in its operand first: ceildiv(x, b) is
+    floordiv(x + b - 1, b) and mod(x, b) is x - b * floordiv(x, b)."""
+    for kind, op, b, _ in e.divs:
+        key = _floor_key(kind, op, b)
+        if key not in qs:
+            _number_divs(key[0], qs)
+            qs[key] = len(qs)
 
-    def _floordiv(self, operand, b):
-        key = (operand, b)
-        if key in self._memo:
-            return self._memo[key]
-        vec = self.lin(operand)
-        q = ("q", self.num_new)
-        self.num_new += 1
-        lo = dict(vec)
-        lo[q] = -b  # e - b*q >= 0
-        hi = {k: -v for k, v in vec.items()}
-        hi[q] = b
-        hi["const"] += b - 1  # b*q + b - 1 - e >= 0
-        self.extra.append(lo)
-        self.extra.append(hi)
-        self._memo[key] = q
-        return q
 
-    def materialize(self, vec, num_syms):
-        """Row over (dims and given existentials, new existentials,
-        symbols, constant)."""
-        s0 = self.nd + self.num_new
-        out = [0] * (s0 + num_syms + 1)
-        for k, v in vec.items():
-            if k == "const":
-                out[-1] += v
-            elif k[0] == "d":
-                out[k[1]] += v
-            elif k[0] == "q":
-                out[self.nd + k[1]] += v
-            else:
-                out[s0 + k[1]] += v
-        return tuple(out)
+def _dense(e, scale, row, nd, qs):
+    """Add `scale` times `e` to the dense `row` (``nd`` dims and
+    existentials, the existentials numbered in `qs`, symbols, constant) and
+    return it."""
+    s0 = nd + len(qs)
+    for i, c in e.dims:
+        row[i] += scale * c
+    for j, c in e.syms:
+        row[s0 + j] += scale * c
+    row[-1] += scale * e.const
+    for kind, op, b, c in e.divs:
+        c *= scale
+        if kind == MOD:
+            _dense(op, c, row, nd, qs)
+            c *= -b
+        row[nd + qs[_floor_key(kind, op, b)]] += c
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,31 @@ def _level_var_name(group, level, loop_index, taken, reserved):
     return name
 
 
-def _guard_setref(scop, stmt, var_names, dim_level):
-    """Rewrite the statement guard (over domain dims) onto the scan dims."""
-    g = stmt.guard
+def _call_guard(scop, stmt):
+    """The statement's guard, cut by each domain row over the symbols alone
+    that the other rows, the guard and the context do not imply (loop bounds
+    keep only rows that bound a loop dim).  Each half of the row's negation
+    is tested for emptiness with the guard and the context alone first, which
+    imply the rows sub-bounding-box tiling derives.  None when no guard."""
+    d = stmt.domain
+    if all(any(coeffs[:d.num_dims + d.num_exists]) for coeffs, _ in d.rows):
+        return stmt.guard
+    guard = stmt.guard or IntegerSet(d.num_dims, 0, d.num_syms, ())
+    known = guard.intersect(scop.context.insert_dims(0, d.num_dims))
+    cons, keep = d.constraints, []
+    for k, (e, kind) in enumerate(cons):
+        if e.dims:
+            continue
+        rest = IntegerSet.from_constraints(d.num_dims, d.num_syms, cons[:k] + cons[k + 1:],
+                                           d.num_exists).intersect(known)
+        if any(all(not s.where([(neg, INEQ)]).is_empty() for s in (known, rest))
+               for neg in [-e - 1] + ([e - 1] if kind == EQ else [])):
+            keep.append((e, kind))
+    return guard.where(keep) if keep else stmt.guard
+
+
+def _guard_setref(scop, stmt, g, var_names, dim_level):
+    """Rewrite the statement's guard `g` (over domain dims) onto the scan dims."""
     L = len(var_names)
     nd, ne, ns = g.num_dims, g.num_exists, g.num_syms
     rows = []
@@ -91,6 +113,7 @@ def generate_loops(scop):
     syms = tuple(scop.symbols)
     # statement -> the (lowers, uppers) of each loop level
     bounds_of = {s.name: _scan_set(scop, s).loop_bounds(len(levels)) for s in stmts}
+    guard_of = {s.name: _call_guard(scop, s) for s in stmts}
     reserved = set(syms) | {a.name for a in scop.arrays}
 
     # domain dim -> loop level (for call operands and guards)
@@ -113,8 +136,9 @@ def generate_loops(scop):
                     % (stmt.name, stmt.dim_names[d]))
             args.append(var_names[lvl])
         op = Call(stmt.name, tuple(args))
-        if stmt.guard is not None:
-            op = If(_guard_setref(scop, stmt, var_names, dim_level[stmt.name]), (op,))
+        if guard_of[stmt.name] is not None:
+            op = If(_guard_setref(scop, stmt, guard_of[stmt.name], var_names,
+                                  dim_level[stmt.name]), (op,))
         return op
 
     def gen(group, level, var_names):

@@ -180,9 +180,9 @@ def sub_bounding_box_tile(scop, spec):
 
     Everything is read off the tiled scop.  Its point dims are the dims the
     band rows read.  Its guard is the tiled domain with the tile dims
-    projected out: only the box rows read a tile dim, and Fourier-Motzkin
-    of each pair of them gives ``s*(s-1) >= 0``, so the projection is the
-    original domain exactly."""
+    eliminated: only the box rows read a tile dim, and Fourier-Motzkin of
+    each pair of them gives ``s*(s-1) >= 0``, so the guard is the original
+    domain exactly."""
     if not scop.statements:
         return scop
     if not scop.tile_sizes:
@@ -202,15 +202,8 @@ def sub_bounding_box_tile(scop, spec):
                                      "was tiled by" % s.name)
         point_dims = sorted({d for lvl in band_levels for d, _ in s.schedule.results[lvl].dims})
         # the tile constraints on the dims outside the box
-        emb = s.domain
-        for d in reversed(point_dims):
-            emb = emb.project(d)
-        for d in point_dims:
-            emb = emb.insert_dims(d, 1)
-        orig = s.domain
-        for _ in range(m):
-            orig = orig.project(0)
-        orig = orig.insert_dims(0, m)
+        emb = s.domain.eliminate(reversed(point_dims))
+        orig = s.domain.eliminate(range(m))
         guard = orig if s.guard is None else orig.intersect(s.guard)
         new_stmts.append(replace(s, domain=emb.where(box), guard=guard))
     return replace(scop, statements=tuple(new_stmts))

@@ -244,6 +244,26 @@ for (i = 0; i < N; i++) {
 #pragma endscop
 """, depth=1)
 
+# an `.air` module whose bound maps read `mod` and `ceildiv`, of negative
+# operands too: no `.pc` program compiles to these bounds
+DIV_BOUNDS_AIR = """\
+#map0 = affine_map<()[s0] -> (0, (s0 - 5) ceildiv 2)>
+#map1 = affine_map<()[s0] -> (s0 ceildiv 2 + 1, s0)>
+#map2 = affine_map<(d0)[s0] -> ((d0 - 2) mod 3)>
+#map3 = affine_map<(d0)[s0] -> (s0, d0 + s0 mod 4 + 1)>
+module {
+  symbol N
+  array A : float64 [N]
+  array B : float64 [N]
+  stmt S1(i, j) { B[j] = B[j] * 0.5 + A[i]; }
+  affine.for i = max #map0()[N] to min #map1()[N] {
+    affine.for j = max #map2(i)[N] to min #map3(i)[N] {
+      call @S1(i, j)
+    }
+  }
+}
+"""
+
 
 def parse(p: CorpusProgram):
     return fe.parse_program(p.source)

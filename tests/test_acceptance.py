@@ -336,7 +336,7 @@ def test_guarded_nest_keeps_its_place_on_every_level(tmp_path):
     reps = (scop, parse_ir(print_ir(module)), hls.lower_to_standard(module), p)
     exe = _build_c(tmp_path, "guarded-nest", p) if shutil.which("cc") else None
     bad = []
-    for n in (3, 6, 9):
+    for n in (1, 3, 6, 9):  # at N = 1 the `if` skips the first nest
         symbols = {"N": n}
         init = corpus.init_arrays(prog, symbols, seed=n)
         want = interp.run(prog, symbols, init).arrays
@@ -349,6 +349,28 @@ def test_guarded_nest_keeps_its_place_on_every_level(tmp_path):
     assert bad == []
     with pytest.raises(IllegalTilingError, match=r"flow S1\(i=1\) -> S2\(i=0\) at N=2$"):
         tile(scop, TilingSpec((4,)))
+
+
+def test_div_bound_maps_match_on_every_level(tmp_path):
+    # `mod` and `ceildiv` bound maps, of negative operands too, through the
+    # std and HLS levels and the compiled C against the module's own run
+    module = parse_ir(corpus.DIV_BOUNDS_AIR)
+    p = hls.insert_directives(hls.partition(module, "div_bounds"))
+    reps = (hls.lower_to_standard(module), p)
+    exe = _build_c(tmp_path, "div-bounds", p) if shutil.which("cc") else None
+    bad = []
+    for n in (3, 6, 9):
+        symbols, rng = {"N": n}, random.Random(n)
+        init = {a.name: [rng.uniform(-1.0, 1.0) for _ in range(n)] for a in module.arrays}
+        want = interp.run(module, symbols, init).arrays
+        assert want["B"].data != init["B"]
+        for rep in reps:
+            got = interp.run(rep, symbols, init).arrays
+            bad += [(n, type(rep).__name__, a) for a in want
+                    if repr(got[a].data) != repr(want[a].data)]
+        if exe is not None:
+            bad += [(n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
+    assert bad == []
 
 
 def test_unary_minus_keeps_the_sign_of_zero(tmp_path):

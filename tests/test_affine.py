@@ -130,39 +130,47 @@ class TestLinearForm:
         assert parse_map(format_map(m)) == m
 
 
-class TestProject:
+class TestEliminate:
+    """`IntegerSet.eliminate` keeps each eliminated column, unconstrained;
+    pinning it to 0 gives the projection."""
+
+    @staticmethod
+    def pinned(s, dim):
+        return s.eliminate([dim]).where([(DimRef(dim), EQ)])
+
     def test_box_projection(self):
         s = box([(1, 3), (1, 3)])
-        p = s.project(1)
-        assert p.points() == {(i,) for i in range(1, 4)}
+        assert self.pinned(s, 1).points() == {(i, 0) for i in range(1, 4)}
 
     def test_diagonal_slice(self):
-        # {(i,j): i+j=4, 1<=j<=3} project j -> {i: 1<=i<=3}
+        # {(i,j): i+j=4, 1<=j<=3} eliminate j -> {i: 1<=i<=3}
         cons = [(DimRef(0) + DimRef(1) - 4, EQ),
                 (DimRef(1) - 1, INEQ),
                 (3 - DimRef(1), INEQ)]
         s = IntegerSet.from_constraints(2, 0, cons)
-        assert s.project(1).points() == {(1,), (2,), (3,)}
+        assert self.pinned(s, 1).points() == {(1, 0), (2, 0), (3, 0)}
 
     def test_stencil_domain_projection(self):
-        # {1 <= i,j <= N-1} project j -> {1 <= i <= N-1}
+        # {1 <= i,j <= N-1} eliminate j -> {1 <= i <= N-1}
         cons = []
         for d in range(2):
             cons.append((DimRef(d) - 1, INEQ))
             cons.append((SymRef(0) + (DimRef(d) * -1 - 1), INEQ))
         s = IntegerSet.from_constraints(2, 1, cons)
-        p = s.project(1)
+        p = self.pinned(s, 1)
         for n in (2, 5, 9):
-            assert p.points((n,)) == {(i,) for i in range(1, n)}
+            assert p.points((n,)) == {(i, 0) for i in range(1, n)}
 
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
                     min_size=2, max_size=2))
-    def test_project_commutes_with_enumeration_on_boxes(self, bs):
+    def test_eliminate_commutes_with_enumeration_on_boxes(self, bs):
         bounds = [(min(a, b), max(a, b)) for a, b in bs]
         s = box(bounds)
-        projected = s.project(1).points()
-        direct = {(p[0],) for p in s.points()}
-        assert projected == direct
+        assert self.pinned(s, 1).points() == {(p[0], 0) for p in s.points()}
+
+    def test_dim_out_of_range(self):
+        with pytest.raises(ArityMismatchError):
+            box([(0, 1)]).eliminate([1])
 
 
 class TestIsEmpty:
@@ -247,10 +255,13 @@ class TestBoundsForDim:
         assert [eval_expr(e) for e in up] == [3]
 
     def test_unbounded_raises(self):
-        cons = [(DimRef(0), INEQ)]
-        s = IntegerSet.from_constraints(1, 0, cons)
-        with pytest.raises(UnboundedDimensionError):
-            s.loop_bounds(1)
+        # d0 >= 0 has no upper bound; d1 of the second set is in no row
+        for num_dims, cons, side in [(1, [(DimRef(0), INEQ)], "upper"),
+                                     (2, [(DimRef(0), INEQ), (3 - DimRef(0), INEQ)], "lower")]:
+            s = IntegerSet.from_constraints(num_dims, 0, cons)
+            with pytest.raises(UnboundedDimensionError,
+                               match="dim %d has no finite %s bound" % (num_dims - 1, side)):
+                s.loop_bounds(num_dims)
 
     def test_depth_out_of_range(self):
         assert box([(0, 1)]).loop_bounds(0) == []
@@ -301,15 +312,15 @@ class TestEnumerationAgreesWithMembership:
 _small = st.integers(-2, 2)
 _small_forms = st.builds(lambda a, b, c, k: DimRef(0) * a + DimRef(1) * b + SymRef(0) * c + k,
                          _small, _small, _small, st.integers(-3, 3))
-# a small linear form, maybe with one floordiv or mod atom (== 0)
+# a small linear form, maybe with one div atom (== 0)
 _equalities = st.builds(lambda e, atoms: sum(atoms, e), _small_forms,
                         st.lists(st.builds(lambda div, op, b, coef: div(op, b) * coef,
-                                           st.sampled_from([floordiv, mod]), _linear_forms,
+                                           st.sampled_from([floordiv, ceildiv, mod]), _linear_forms,
                                            st.integers(1, 3), _small), max_size=1))
-# a linear form plus one floordiv or mod atom of an operand that reads d0
-# (>= 0), so the set has at least one existential
+# a linear form plus one div atom of an operand that reads d0 (>= 0), so
+# the set has at least one existential
 _div_inequalities = st.builds(lambda e, div, a, b, k, m, coef: e + div(DimRef(0) * a + DimRef(1) * b + k, m) * coef,
-                              _linear_forms, st.sampled_from([floordiv, mod]),
+                              _linear_forms, st.sampled_from([floordiv, ceildiv, mod]),
                               st.integers(1, 3), _small, st.integers(-3, 3),
                               st.integers(2, 5), st.sampled_from([-3, -2, -1, 1, 2, 3]))
 _WINDOW = range(-4, 5)
@@ -334,6 +345,32 @@ class TestScanAgainstBruteForce:
         for i in range(-5, 6):
             for j in range(-5, 6):
                 assert s.contains((i, j), (sym,)) == ((i, j) in want)
+
+
+class TestSymbolicAgainstBruteForce:
+    """The symbolic `is_empty` and `range_of` read the rational shadow of a
+    set with a free symbol, so they may keep a spurious point but never
+    lose one; the oracle is a filter of a window of points at N = 1..6."""
+
+    @given(st.lists(_equalities, min_size=1, max_size=2), st.lists(_small_forms, max_size=1),
+           _equalities)
+    @settings(max_examples=60, deadline=None)
+    def test_no_point_outside_the_answer(self, ineqs, eqs, form):
+        cons = [(DimRef(0) + 4, INEQ), (4 - DimRef(0), INEQ),
+                (DimRef(1) + 4, INEQ), (4 - DimRef(1), INEQ)]
+        cons += [(f, INEQ) for f in ineqs] + [(f, EQ) for f in eqs]
+        s = IntegerSet.from_constraints(2, 1, cons)
+        values = {eval_expr(form, (i, j), (n,)) for n in range(1, 7)
+                  for i in _WINDOW for j in _WINDOW
+                  if all(eval_expr(e, (i, j), (n,)) == 0 if kind == EQ
+                         else eval_expr(e, (i, j), (n,)) >= 0 for e, kind in cons)}
+        assert not (values and s.is_empty())
+        bounds = s.range_of(form)
+        assert not (values and bounds is None)
+        if values and bounds is not None:
+            lo, hi = bounds
+            assert lo is None or lo <= min(values)
+            assert hi is None or max(values) <= hi
 
 
 class TestScan:

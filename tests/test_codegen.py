@@ -6,7 +6,7 @@ from polyhls import affine, frontend as fe, hls, interp
 from polyhls.affine import eval_expr
 from polyhls.codegen import _scan_set, dump_bounds, generate_loops, simplify_bounds
 from polyhls.errors import CodegenError
-from polyhls.ir import For, parse_ir, print_ir, verify_ir
+from polyhls.ir import For, If, parse_ir, print_ir, verify_ir
 from polyhls.scop import build_scop
 from polyhls.transforms import (TilingSpec, sub_bounding_box_tile, tile,
                                 wavefront_parallelize)
@@ -65,6 +65,31 @@ class TestUntransformed:
         m = generate_loops(scop)
         assert (m.symbols, m.stmts, m.body) == (("N",), (), ())
         assert print_ir(m) == "module {\n  symbol N\n  array A : float64 [N]\n}\n"
+
+
+class TestSymbolGuards:
+    """A domain row over the symbols alone bounds no loop dim: codegen
+    guards the call with it unless the statement's other rows, its guard
+    and the context imply it."""
+
+    def test_equality_over_symbols_guards_the_call(self):
+        prog = fe.parse_program("int N;\nfloat A[N];\n#pragma scop\nif (N == 3) {\n"
+                                "  for (i = 0; i < N; i++) {\n    A[i] = A[i] + 1.0;\n  }\n}\n"
+                                "#pragma endscop\n")
+        module = generate_loops(build_scop(prog)[0])
+        for n in (2, 3, 4):
+            init = {"A": [float(k) for k in range(n)]}
+            assert (interp.run(module, {"N": n}, init).arrays["A"].data
+                    == interp.run(prog, {"N": n}, init).arrays["A"].data)
+
+    def test_rows_that_subbb_derives_add_no_guard(self):
+        # the guard 1 <= i, j <= N - 1 implies the derived N - 2 >= 0
+        scop = sub_bounding_box_tile(build_scop(corpus.parse(corpus.STENCIL2D))[0],
+                                     TilingSpec((4, 4)))
+        d = scop.statements[0].domain
+        assert any(not any(c[:d.num_dims + d.num_exists]) for c, _ in d.rows)
+        guards = [op.cond.set for op, _ in fe.walk(generate_loops(scop).body) if isinstance(op, If)]
+        assert guards and all(e.dims for g in guards for e, _ in g.constraints)
 
 
 class TestTiledBounds:

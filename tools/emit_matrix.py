@@ -15,14 +15,18 @@ message is pinned, and `--help` once before it; it runs each option form
 of OPTION_CASES in compile mode and of RUN_OPTION_CASES in run mode, so
 every value form, kind check and mode check of an option is pinned.  Every
 stored `perfbench/air/*.air` module (read in place) runs with
-`--emit=affine|std|hls-c` and `--dump=bounds`, and AIR_FLAG_MODULE runs
-each flag of AIR_FLAG_CASES that needs a `.pc` input.  Each input of
+`--emit=affine|std|hls-c` and `--dump=bounds`, and so does
+`corpus.DIV_BOUNDS_AIR` (its bound maps read `mod` and `ceildiv`);
+AIR_FLAG_MODULE runs each flag of AIR_FLAG_CASES that needs a `.pc`
+input.  Each input of
 REJECT_CASES (`.pc` or `.air`) runs with its flags, so every message of a
 rejected loop nest, declaration list, stmt list or loopless tiling is
-pinned, and so is each interpreter error of an out-of-bounds read, an
+pinned, as is each typed error of the SCoP builder (a non-affine loop
+bound, an undeclared array, a rank mismatch, an unknown identifier), and
+so is each interpreter error of an out-of-bounds read, an
 out-of-bounds write and a float stored into an int array (`run`, in both
 input kinds).  Every
-`.pc` input and every stored module also runs once as `run --trace
+`.pc` input and every `.air` module also runs once as `run --trace
 --dump-arrays`, with every symbol set to 5, non-zero arrays and
 `POLYHLS_SEED=1`, so the interpreter gets the same check as the emitters.  Each file holds the
 exit code, stdout and stderr of one case, so `diff -r` of the OUTDIRs of
@@ -75,6 +79,13 @@ REJECT_CASES = (  # (input file name, its text, flags)
     ("duplicate-stmt.air", "module {\n  array A : float64 [4]\n  stmt S1() { A[0] = 1.0; }\n"
      "  stmt S1() { A[0] = 2.0; }\n}\n", "--emit=hls-c"),
 )
+_PC_NEST = "int N;\nfloat A[N];\n#pragma scop\nfor (i = 0; i < %s; i++)\n  %s;\n#pragma endscop\n"
+REJECT_CASES += tuple((name + ".pc", _PC_NEST % (bound, stmt), "--dump=scop") for name, bound, stmt in (
+    ("non-affine-bound", "N * N", "A[i] = 1.0"),
+    ("undeclared-array", "N", "A[i] = C[i] + 1.0"),
+    ("rank-mismatch", "N", "A[i][i] = 1.0"),
+    ("unknown-identifier", "N", "A[i] = A[i] + x"),
+))
 _RUN = "run --set N=4 --dump-arrays"
 _PC_LOOP = ("int N;\n%s B[N];\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++)\n"
             "  %s;\n#pragma endscop\n")
@@ -189,8 +200,11 @@ def main(argv):
         argv = flags[:1] + [path] + flags[1:] if flags[0] == "run" else [path] + flags
         run(os.path.join(outdir, case_name(name, output)), argv)
         cases += 1
-    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))):
-        name = "air-" + os.path.basename(path)[:-4]
+    div_bounds = os.path.join(outdir, "inputs", "div-bounds.air")
+    with open(div_bounds, "w") as f:
+        f.write(corpus.DIV_BOUNDS_AIR)
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "air", "*.air"))) + [div_bounds]:
+        name = ("air-" if path != div_bounds else "corpus-") + os.path.basename(path)[:-4]
         with open(path) as f:
             run_mode(outdir, name, path, parse_ir(f.read()))
         cases += 1
