@@ -25,7 +25,9 @@ existential q, ``b*q <= x <= b*q + b - 1``, nested ones first (ceildiv(x,
 b) is floordiv(x + b - 1, b), mod(x, b) is x - b*q).  `_chain` eliminates
 the columns of a set one by one and `_dim_bounds` reads a variable's
 bounds off its link, for the scanner, `is_empty`, `range_of` and
-`loop_bounds`.  Python integers cannot silently overflow.
+`loop_bounds`.  Python integers cannot silently overflow.  Map and set
+text is read by the frontend grammar (:class:`polyhls.frontend.AffineText`),
+whose trees :func:`from_tree` and :func:`from_condition` convert.
 
 Column order of a constraint row: dims, existentials, symbols, constant.
 """
@@ -36,9 +38,11 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
+from . import frontend as fe
 from .errors import (
     ArityMismatchError,
     MalformedExpressionError,
+    NonAffineError,
     ParseError,
     UnboundedDimensionError,
 )
@@ -704,74 +708,87 @@ def format_set(s, dim_names=None, sym_names=None):
     return "integer_set<%s : (%s)>" % (hdr, ", ".join(parts))
 
 
-# never a dim, symbol, existential, map or set name
-KEYWORDS = ("floordiv", "ceildiv", "mod", "affine_map", "integer_set", "exists")
+# never a dim, symbol, existential, map or set name (nor a `.pc` name)
+KEYWORDS = fe.KEYWORDS + (FLOORDIV, CEILDIV, MOD, "affine_map", "integer_set", "exists")
 
 
-class _AffineParser:
-    def __init__(self, cur, dim_names, sym_names):
-        self.cur = cur
-        self.dims = dim_names
-        self.syms = sym_names
-
-    def expr(self):
-        e = self.term()
-        while self.cur.peek()[1] in ("+", "-"):
-            op = self.cur.next()[1]
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def term(self):
-        e = self.unary()
-        while True:
-            kind, v, pos = self.cur.peek()
-            if v == "*":
-                self.cur.next()
-                rhs = self.unary()
-                if rhs.is_const:
-                    e = e * rhs.const
-                elif e.is_const:
-                    e = rhs * e.const
-                else:
-                    raise ParseError("non-affine product", *pos)
-            elif v in (FLOORDIV, CEILDIV, MOD):
-                self.cur.next()
-                rhs = self.unary()
-                if not rhs.is_const or rhs.const <= 0:
-                    raise ParseError("%s needs a positive constant divisor" % v, *pos)
-                e = _div(v, e, rhs.const)
-            else:
-                return e
-
-    def unary(self):
-        kind, v, pos = self.cur.peek()
-        if v == "-":
-            self.cur.next()
-            return -self.unary()
-        return self.primary()
-
-    def primary(self):
-        kind, v, pos = self.cur.next()
-        if kind == "int":
-            return Const(v)
-        if kind == "id":
-            if v in self.dims:
-                return DimRef(self.dims.index(v))
-            if v in self.syms:
-                return SymRef(self.syms.index(v))
-            raise ParseError("unknown identifier %r" % v, *pos)
-        if v == "(":
-            e = self.expr()
-            self.cur.expect(")")
-            return e
-        raise ParseError("unexpected token %r" % v, *pos)
+def from_tree(e, dims, syms):
+    """The AffineExpr of the frontend tree `e` over the names `dims` and
+    `syms`: the one converter of every affine position (`.pc` bounds,
+    subscripts, conditions and assumptions, `.air` maps and sets).  Any
+    non-affine form is a NonAffineError."""
+    if isinstance(e, fe.IntLit):
+        return Const(e.value)
+    if isinstance(e, fe.Name):
+        if e.ident in dims:
+            return DimRef(dims.index(e.ident))
+        if e.ident in syms:
+            return SymRef(syms.index(e.ident))
+        raise NonAffineError("unknown identifier %r in affine position" % e.ident)
+    if isinstance(e, fe.BinOp):
+        lhs, rhs = from_tree(e.lhs, dims, syms), from_tree(e.rhs, dims, syms)
+        if e.op == "+":
+            return lhs + rhs
+        if e.op == "-":
+            return lhs - rhs
+        if rhs.is_const:
+            return lhs * rhs.const
+        if lhs.is_const:
+            return rhs * lhs.const
+        raise NonAffineError("non-affine product %r" % fe.format_expr(e))
+    if isinstance(e, fe.Call) and e.fn in (FLOORDIV, CEILDIV, MOD):
+        x, b = [from_tree(a, dims, syms) for a in e.args]
+        if not b.is_const or b.const <= 0:
+            raise NonAffineError("%s needs a positive constant divisor" % e.fn)
+        return _div(e.fn, x, b.const)
+    raise NonAffineError("non-affine expression %r" % fe.format_expr(e))
 
 
-def _parse_space(cur):
+# op: (sign, shift) of the constraint sign * (lhs - rhs) + shift >= 0
+_CMP = {"<": (-1, -1), "<=": (-1, 0), ">": (1, -1), ">=": (1, 0)}
+
+
+def from_condition(cond, dims, syms, negate=False):
+    """Constraints of the comparison ``(op, lhs, rhs)`` of frontend trees,
+    or of its negation with `negate`: the one map from a comparison to
+    constraints (`.pc` `if`, `--assume`, `.air` sets)."""
+    op, lhs, rhs = cond
+    diff = from_tree(lhs, dims, syms) - from_tree(rhs, dims, syms)
+    if op == "==":
+        if negate:
+            raise NonAffineError("else-branch of an equality test is not affine")
+        return [(diff, EQ)]
+    sign, shift = _CMP[op]
+    if negate:  # not (x >= 0) is -x - 1 >= 0
+        sign, shift = -sign, -shift - 1
+    return [(diff * sign + shift, INEQ)]
+
+
+def _parse_space(cur, word):
+    cur.expect(word)
+    cur.expect("<")
     dims = cur.names("(", ")", KEYWORDS)
     syms = cur.names("[", "]", KEYWORDS) if cur.peek()[1] == "[" else []
     return dims, syms
+
+
+def _items(cur, item):
+    """The joined lists that `item()` reads from the items of the
+    parenthesized list at the cursor, then ``>``; an item's NonAffineError
+    is a ParseError at its first token."""
+    out = []
+    cur.expect("(")
+    while cur.peek()[1] != ")":
+        pos = cur.peek()[2]
+        try:
+            out += item()
+        except NonAffineError as e:
+            raise ParseError(str(e), *pos) from None
+        if cur.peek()[1] == ",":
+            cur.next()
+    cur.expect(")")
+    cur.expect(">")
+    return out
 
 
 def parse_map(text):
@@ -780,52 +797,30 @@ def parse_map(text):
 
 
 def parse_map_at(cur):
-    """Parse an affine_map starting at the cursor's current token."""
-    cur.expect("affine_map")
-    cur.expect("<")
-    dims, syms = _parse_space(cur)
+    """Parse an affine_map starting at the cursor's current token; each
+    result is an expression of :class:`frontend.AffineText`."""
+    dims, syms = _parse_space(cur, "affine_map")
     cur.expect("->")
-    p = _AffineParser(cur, dims, syms)
-    cur.expect("(")
-    results = []
-    while cur.peek()[1] != ")":
-        results.append(p.expr())
-        if cur.peek()[1] == ",":
-            cur.next()
-    cur.expect(")")
-    cur.expect(">")
+    g = fe.AffineText(cur)
+    results = _items(cur, lambda: [from_tree(g.expr(), dims, syms)])
     return AffineMap(len(dims), len(syms), tuple(results))
 
 
 def parse_set(text):
     """Parse ``integer_set<(d0)[s0] : (constraints)>``; each constraint is
-    a binary ``>=``/``<=``/``==`` comparison between affine expressions."""
+    a comparison of the `if` grammar (``<``, ``<=``, ``>``, ``>=`` or
+    ``==``) between affine expressions."""
     return parse_set_at(Cursor(text))
 
 
 def parse_set_at(cur):
     """Parse an integer_set starting at the cursor's current token."""
-    cur.expect("integer_set")
-    cur.expect("<")
-    dims, syms = _parse_space(cur)
+    dims, syms = _parse_space(cur, "integer_set")
     exists = []
     if cur.peek()[1] == "exists":
         cur.next()
         exists = cur.names("(", ")", KEYWORDS)
     cur.expect(":")
-    p = _AffineParser(cur, dims + exists, syms)
-    cur.expect("(")
-    cons = []
-    while cur.peek()[1] != ")":
-        lhs = p.expr()
-        kind, v, pos = cur.next()
-        if v not in (">=", "<=", "=="):
-            raise ParseError("expected comparison, found %r" % v, *pos)
-        rhs = p.expr()
-        diff = lhs - rhs if v in (">=", "==") else rhs - lhs
-        cons.append((diff, EQ if v == "==" else INEQ))
-        if cur.peek()[1] == ",":
-            cur.next()
-    cur.expect(")")
-    cur.expect(">")
+    g = fe.AffineText(cur)
+    cons = _items(cur, lambda: from_condition(g.condition(), dims + exists, syms))
     return IntegerSet.from_constraints(len(dims), len(syms), cons, num_exists=len(exists))

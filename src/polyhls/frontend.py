@@ -8,8 +8,12 @@ element from an expression over array reads, loop variables and constants.
 ``#pragma scop`` / ``#pragma endscop`` delimit the regions handed to the
 polyhedral model.
 
-The expression tree is also the standard level's (loop bounds and guards
-of :mod:`polyhls.hls`, with :class:`Call` for its bound helpers);
+The expression grammar (``expr``, ``term``, ``unary``, ``primary`` and
+``condition``) is the one grammar of every text: ``.pc`` source, ``.air``
+stmt bodies, ``--assume`` and, as :class:`AffineText`, affine map and set
+text, which :func:`polyhls.affine.from_tree` then converts.  The
+expression tree is also the standard level's (loop bounds and guards of
+:mod:`polyhls.hls`, with :class:`Call` for its bound helpers);
 :func:`format_expr` is its one printer and :func:`evaluate` its one
 evaluator.  The statement trees of every level (``.pc`` statements, affine
 ops, standard-level ops, the C kernel) share one walk (:func:`walk`), one
@@ -66,8 +70,8 @@ class ArrayRef(Expr):
 
 @dataclass(frozen=True)
 class Call(Expr):
-    """Bound helper of the standard level (never parsed from `.pc`):
-    floord, ceild, min or max, each binary."""
+    """Binary helper: floord, ceild, min or max of the standard level, or
+    floordiv, ceildiv or mod of affine text (never parsed from `.pc`)."""
 
     fn: str
     args: tuple
@@ -149,6 +153,8 @@ KEYWORDS = ("int", "float", "for", "if", "else", "pragma", "while", "do", "retur
 
 
 class _Parser:
+    TERM_OPS = ("*", "/")  # the operators `term` reads; the words among them are Calls
+
     def __init__(self, cur):
         self.cur = cur
 
@@ -308,11 +314,11 @@ class _Parser:
 
     def term(self):
         e = self.unary()
-        while self.cur.peek()[1] in ("*", "/"):
+        while self.cur.peek()[1] in self.TERM_OPS:
             k, op, p = self.cur.next()
             if op == "/":
                 raise UnsupportedConstructError("division is not supported in the input language", *p)
-            e = BinOp("*", e, self.unary())
+            e = BinOp("*", e, self.unary()) if op == "*" else Call(op, (e, self.unary()))
         return e
 
     def unary(self):
@@ -341,6 +347,14 @@ class _Parser:
             self.cur.expect(")")
             return e
         raise ParseError("unexpected token %r" % (v,), *pos)
+
+
+class AffineText(_Parser):
+    """The expression grammar of affine map and set text (its `expr` and
+    `condition`): the ``.pc`` grammar, which also reads MLIR's infix words
+    ``floordiv``, ``ceildiv`` and ``mod`` as :class:`Call` nodes."""
+
+    TERM_OPS = _Parser.TERM_OPS + ("floordiv", "ceildiv", "mod")
 
 
 def parse_program(source):

@@ -441,8 +441,3 @@ def run(obj, symbols, init=None, trace=False, shuffle_seed=None):
     machine = make_machine(symbols, obj.arrays, init, trace, shuffle_seed)
     executor(obj, machine)
     return machine
-
-
-def trace(obj, symbols, init=None):
-    """Dynamic instance sequence (statement name, index vector)."""
-    return run(obj, symbols, init, trace=True).trace

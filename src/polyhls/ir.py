@@ -10,11 +10,12 @@ it, so print/parse round-trips are the identity.
 File extension: ``.air``.
 
 The text is read with the one tokenizer of :mod:`polyhls.lexer`, which the
-``.pc`` frontend and the affine map/set syntax share; a stmt body and an
-array's extents are parsed in place by the frontend grammar, so their
-errors carry ``.air`` line and column.  Float literals in stmt bodies are C
-decimal floats with an optional exponent (``0.5``, ``1e-05``, ``1e+17``),
-which covers every value Python's ``repr`` prints.
+``.pc`` frontend and the affine map/set syntax share; a stmt body, an
+array's extents and each map result and set constraint are parsed in place
+by the frontend grammar, so their errors carry ``.air`` line and column.
+Float literals in stmt bodies are C decimal floats with an optional
+exponent (``0.5``, ``1e-05``, ``1e+17``), which covers every value
+Python's ``repr`` prints.
 
 Grammar sketch::
 
@@ -292,7 +293,7 @@ def parse_ir(text):
 def verify_ir(module):
     """Structural diagnostics; an empty list means the module is valid."""
     diags = []
-    arrays = {a.name for a in module.arrays}
+    arrays = {a.name: len(a.extents) for a in module.arrays}  # name -> rank
     symbols = set(module.symbols)
     stmt_arity = {s.name: len(s.params) for s in module.stmts}
     decls = list(module.symbols) + [a.name for a in module.arrays]
@@ -300,12 +301,22 @@ def verify_ir(module):
         for n in sorted({n for n in names if names.count(n) > 1}):
             diags.append("duplicate " + what % n)
 
+    for a in module.arrays:
+        for e in a.extents:
+            if not isinstance(e, int) and e not in symbols:
+                diags.append("array %s: extent %r is not a declared symbol" % (a.name, e))
     for s in module.stmts:
-        used = _assign_names(s.body)
-        for n in used - set(s.params) - symbols - arrays:
+        nodes = [e for root in (s.body.ref, s.body.rhs) for e in fe.subexprs(root)]
+        used = {e.ident for e in nodes if isinstance(e, fe.Name)}
+        used |= {e.array for e in nodes if isinstance(e, fe.ArrayRef)}
+        for n in used - set(s.params) - symbols - arrays.keys():
             diags.append("stmt %s: unknown name %r in body" % (s.name, n))
         if s.body.ref.array not in arrays:
             diags.append("stmt %s: writes undeclared array %r" % (s.name, s.body.ref.array))
+        for e in nodes:
+            if isinstance(e, fe.ArrayRef) and len(e.subs) != arrays.get(e.array, len(e.subs)):
+                diags.append("stmt %s: array %s of rank %d has %d subscripts"
+                             % (s.name, e.array, arrays[e.array], len(e.subs)))
 
     def check_ref(ref, in_scope, what):
         for d in ref.dims:
@@ -342,14 +353,3 @@ def verify_ir(module):
         else:
             diags.append("unknown op %r" % (op,))
     return diags
-
-
-def _assign_names(assign):
-    names = set()
-    for root in (assign.ref, assign.rhs):
-        for e in fe.subexprs(root):
-            if isinstance(e, fe.Name):
-                names.add(e.ident)
-            elif isinstance(e, fe.ArrayRef):
-                names.add(e.array)
-    return names

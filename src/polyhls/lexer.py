@@ -1,5 +1,6 @@
 """The one tokenizer for ``.pc`` source, affine map/set text and ``.air``
-modules, and the token cursor their parsers read through.
+modules, and the token cursor their parsers read through; every
+expression in them is read by one grammar, :mod:`polyhls.frontend`'s.
 
 A token is ``(kind, value, (line, col))`` with kind ``int``, ``float``,
 ``id``, ``op`` or ``eof``.  Every word is an ``id``: each grammar rejects

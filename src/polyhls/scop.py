@@ -1,5 +1,7 @@
 """SCoP construction: per-statement iteration domains, interleaved original
-schedules, and read/write access relations, built in one pass."""
+schedules, and read/write access relations, built in one pass.  Bounds,
+subscripts, `if` conditions and `--assume` texts become affine through
+:func:`polyhls.affine.from_tree` and :func:`polyhls.affine.from_condition`."""
 
 from __future__ import annotations
 
@@ -7,7 +9,8 @@ import itertools
 from dataclasses import dataclass, replace
 
 from . import frontend as fe
-from .affine import EQ, INEQ, AffineMap, Const, DimRef, IntegerSet, SymRef, format_map, format_set
+from .affine import (INEQ, AffineMap, Const, DimRef, IntegerSet, SymRef, format_map, format_set,
+                     from_condition, from_tree)
 from .errors import NonAffineError, ParseError
 
 
@@ -50,63 +53,12 @@ class Scop:
         return out
 
 
-class _AffineConv:
-    """Converts frontend expressions to AffineExprs over (loop vars, symbols)."""
-
-    def __init__(self, loop_vars, symbols):
-        self.loop_vars = list(loop_vars)
-        self.symbols = list(symbols)
-
-    def conv(self, e):
-        if isinstance(e, fe.IntLit):
-            return Const(e.value)
-        if isinstance(e, fe.Name):
-            if e.ident in self.loop_vars:
-                return DimRef(self.loop_vars.index(e.ident))
-            if e.ident in self.symbols:
-                return SymRef(self.symbols.index(e.ident))
-            raise NonAffineError("unknown identifier %r in affine position" % e.ident)
-        if isinstance(e, fe.BinOp):
-            lhs, rhs = self.conv(e.lhs), self.conv(e.rhs)
-            if e.op == "+":
-                return lhs + rhs
-            if e.op == "-":
-                return lhs - rhs
-            if rhs.is_const:
-                return lhs * rhs.const
-            if lhs.is_const:
-                return rhs * lhs.const
-            raise NonAffineError("non-affine product %r" % fe.format_expr(e))
-        raise NonAffineError("non-affine expression %r" % fe.format_expr(e))
-
-
-def _cond_constraints(conv, op, lhs, rhs, negate=False):
-    """Constraints of the comparison `lhs op rhs` (of its negation with
-    `negate`), the one map from a comparison operator to constraints."""
-    diff = conv.conv(lhs) - conv.conv(rhs)
-    if negate:
-        neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-        if op == "==":
-            raise NonAffineError("else-branch of an equality test is not affine")
-        op = neg[op]
-    if op == "<":
-        return [(-diff - 1, INEQ)]  # rhs - lhs - 1 >= 0
-    if op == "<=":
-        return [(-diff, INEQ)]
-    if op == ">":
-        return [(diff - 1, INEQ)]
-    if op == ">=":
-        return [(diff, INEQ)]
-    return [(diff, EQ)]
-
-
 def default_context(symbols, assumptions=()):
     """Context set: every symbol >= 1, plus each assumption, a comparison
     text over the symbols in `if`-condition syntax (``N >= T + 1``)."""
-    conv = _AffineConv((), symbols)
     cons = [(SymRef(i) - 1, INEQ) for i in range(len(symbols))]
     for text in assumptions:
-        cons.extend(_cond_constraints(conv, *fe.parse_condition(text)))
+        cons += from_condition(fe.parse_condition(text), (), symbols)
     return IntegerSet.from_constraints(0, len(symbols), cons)
 
 
@@ -149,21 +101,22 @@ def _build_scop(program, region, name, context):
     def walk(nodes, loops, conds, path, pos):
         # path: the textual-position constants of the enclosing loops; pos
         # counts the positions in the innermost body, shared by its `if` blocks
-        conv = _AffineConv([v for v, _, _ in loops], symbols)
+        vars_ = [v for v, _, _ in loops]
         for node in nodes:
             if isinstance(node, fe.For):
                 try:
-                    lb = conv.conv(node.lower)
-                    ub = conv.conv(node.upper) - 1  # inclusive
+                    lb = from_tree(node.lower, vars_, symbols)
+                    ub = from_tree(node.upper, vars_, symbols) - 1  # inclusive
                 except NonAffineError as e:
                     raise NonAffineError("loop bound of %r: %s" % (node.var, e))
                 walk(node.body, loops + [(node.var, lb, ub)], conds, path + [next(pos)],
                      itertools.count())
             elif isinstance(node, fe.If):
-                cond = (conv, node.op, node.lhs, node.rhs)
-                walk(node.then, loops, conds + _cond_constraints(*cond), path, pos)
+                cond = (node.op, node.lhs, node.rhs)
+                walk(node.then, loops, conds + from_condition(cond, vars_, symbols), path, pos)
                 if node.els:
-                    walk(node.els, loops, conds + _cond_constraints(*cond, negate=True), path, pos)
+                    walk(node.els, loops, conds + from_condition(cond, vars_, symbols, True),
+                         path, pos)
             elif isinstance(node, fe.Assign):
                 stmts.append(_build_stmt(program, node, names[id(node)], loops, conds,
                                          path + [next(pos)]))
@@ -190,7 +143,6 @@ def _build_stmt(program, assign, name, loops, conds, path):
     into its 2d+1 schedule (c0, i0, c1, ..., i(d-1), cd)."""
     symbols = program.symbols
     vars_ = [v for v, _, _ in loops]
-    conv = _AffineConv(vars_, symbols)
     cons = []
     for k, (v, lb, ub) in enumerate(loops):
         # lb/ub were converted in the scope of the outer loops only; their
@@ -210,7 +162,7 @@ def _build_stmt(program, assign, name, loops, conds, path):
         if len(ref.subs) != len(decl.extents):
             raise NonAffineError("array %s rank mismatch" % ref.array)
         try:
-            exprs = tuple(conv.conv(s) for s in ref.subs)
+            exprs = tuple(from_tree(s, vars_, symbols) for s in ref.subs)
         except NonAffineError as e:
             raise NonAffineError("subscript of %s: %s" % (ref.array, e))
         return (ref.array, AffineMap(len(loops), len(symbols), exprs))

@@ -29,6 +29,7 @@ from polyhls.errors import (
     MalformedExpressionError,
     ParseError,
     UnboundedDimensionError,
+    UnsupportedConstructError,
 )
 
 
@@ -93,6 +94,65 @@ class TestCanonAndFormat:
         parse = parse_map if text.startswith("affine_map") else parse_set
         with pytest.raises(ParseError, match="expected identifier"):
             parse(text)
+
+
+class TestTextGrammar:
+    """Map and set text is read by the frontend grammar and one converter:
+    a converter reject is at the item's first token, a grammar reject at
+    the offending token."""
+
+    @pytest.mark.parametrize("text, cls, message, pos", [
+        ("affine_map<(d0, d1) -> (d0 * d1)>", ParseError,
+         "non-affine product 'd0 * d1'", (1, 25)),
+        ("affine_map<(d0) -> (d0 floordiv 0)>", ParseError,
+         "floordiv needs a positive constant divisor", (1, 21)),
+        ("affine_map<(d0, d1) -> (d1, d0 mod d1)>", ParseError,
+         "mod needs a positive constant divisor", (1, 29)),
+        ("affine_map<(d0) -> (d0,\n  x + 1)>", ParseError,
+         "unknown identifier 'x' in affine position", (2, 3)),
+        ("affine_map<(d0) -> (1.5)>", ParseError, "non-affine expression '1.5'", (1, 21)),
+        ("affine_map<(d0) -> (d0 + )>", ParseError, "unexpected token ')'", (1, 26)),
+        ("affine_map<(d0) -> (d0 / 2)>", UnsupportedConstructError,
+         "division is not supported in the input language", (1, 24)),
+        ("affine_map<(d0) -> (d0))>", ParseError, "expected '>', found ')'", (1, 24)),
+        ("integer_set<(d0) : (d0 = 0)>", UnsupportedConstructError,
+         "unsupported comparison '='", (1, 24)),
+        ("integer_set<(d0) : (d0 >= 0, d0 + 1)>", UnsupportedConstructError,
+         "unsupported comparison ')'", (1, 36)),
+        ("integer_set<(d0) : (d0 != 0)>", ParseError, "unexpected character '!'", (1, 24)),
+        ("integer_set<(d0)[s0] : (s0 - d0 >= d0 * s0)>", ParseError,
+         "non-affine product 'd0 * s0'", (1, 25)),
+        ("affine_map<(int) -> (0)>", ParseError, "expected identifier, found 'int'", (1, 13)),
+        ("affine_map<(d0)[for] -> (d0)>", ParseError, "expected identifier, found 'for'",
+         (1, 17)),
+        ("integer_set<(d0) exists (else) : (d0 >= 0)>", ParseError,
+         "expected identifier, found 'else'", (1, 26)),
+    ])
+    def test_malformed_text(self, text, cls, message, pos):
+        parse = parse_map if text.startswith("affine_map") else parse_set
+        with pytest.raises(cls) as err:
+            parse(text)
+        assert type(err.value) is cls
+        assert str(err.value) == "%d:%d: %s" % (pos + (message,))
+        assert (err.value.line, err.value.col) == pos
+
+    @pytest.mark.parametrize("strict, closed", [
+        ("d0 < s0", "s0 - d0 - 1 >= 0"),
+        ("d0 > 0", "d0 - 1 >= 0"),
+        ("s0 > d0 * 2", "s0 - d0 * 2 >= 1"),
+        ("0 < d0 + 1", "d0 >= 0"),
+    ])
+    def test_strict_comparisons_equal_closed_forms(self, strict, closed):
+        text = "integer_set<(d0)[s0] : (d0 >= -5, %s)>"
+        s = parse_set(text % strict)
+        assert s == parse_set(text % closed)
+        assert " < " not in format_set(s) and " > " not in format_set(s)
+
+    def test_infix_words_bind_as_product(self):
+        m = parse_map("affine_map<(d0)[s0] -> "
+                      "(-d0 floordiv 2 * 3 + s0 mod 4, d0 ceildiv (1 + 1))>")
+        assert m == AffineMap(1, 1, (floordiv(-DimRef(0), 2) * 3 + mod(SymRef(0), 4),
+                                     ceildiv(DimRef(0), 2)))
 
 
 _coefs = st.integers(-5, 5)

@@ -130,7 +130,7 @@ class TestTiledBounds:
                 m = generate_loops(scop)
                 for n in (2, 5, 8):
                     want = scheduled_trace(scop, n)
-                    got = interp.trace(m, {s: n for s in scop.symbols})
+                    got = interp.run(m, {s: n for s in scop.symbols}, trace=True).trace
                     assert got == want, (entry.name, pname, n)
 
 
@@ -206,7 +206,8 @@ class TestSimplifyBounds:
             ms = simplify_bounds(m)
             for n in (3, 7):
                 syms = {s: n for s in scop.symbols}
-                assert interp.trace(m, syms) == interp.trace(ms, syms), entry.name
+                assert interp.run(m, syms, trace=True).trace == \
+                    interp.run(ms, syms, trace=True).trace, entry.name
 
 
 def test_dump_bounds_output():

@@ -7,6 +7,7 @@ import pytest
 from polyhls import frontend as fe, hls
 from polyhls.errors import ParseError, UnsupportedConstructError
 from polyhls.ir import Call, For, If
+from polyhls.scop import build_scop
 
 import corpus
 
@@ -128,6 +129,49 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate declaration of '%s'" % name) as err:
             fe.parse_program(decls + "#pragma scop\n#pragma endscop\n")
         assert (err.value.line, err.value.col) == pos
+
+
+_SCOP = "int N;\nfloat A[N];\n#pragma scop\n%s\n#pragma endscop\n"
+_LOOP = _SCOP % "for (i = 0; i < N; i++)\n  %s"
+_REJECTS = [  # (source, error class, message, (line, col) or None)
+    ("float N;\n", UnsupportedConstructError, "size parameters must be int", (1, 7)),
+    ("int N;\nfloat A[M];\n", ParseError, "array A uses undeclared size parameter M", None),
+    (_SCOP % "{ A[0] = 1.0; }", ParseError, "blocks are only allowed as loop/if bodies", (4, 1)),
+    ("int N;\n#prag scop\n", ParseError, "expected 'pragma'", (2, 2)),
+    ("int N;\n#pragma omp\n", UnsupportedConstructError, "unknown pragma 'omp'", (2, 9)),
+    (_SCOP % "for (i = 0; j < N; i++) A[i] = 1.0;", ParseError,
+     "loop condition must test 'i'", (4, 13)),
+    (_SCOP % "for (i = 0; i == N; i++) A[i] = 1.0;", UnsupportedConstructError,
+     "loop condition must use < or <=", (4, 15)),
+    (_SCOP % "for (i = 0; i < N; j++) A[i] = 1.0;", ParseError,
+     "loop increment must update 'i'", (4, 20)),
+    (_SCOP % "for (i = 0; i < N; i--) A[i] = 1.0;", UnsupportedConstructError,
+     "only incrementing unit-step loops are supported", (4, 21)),
+    (_LOOP % "if (i = 0) A[i] = 1.0;", UnsupportedConstructError,
+     "unsupported comparison '='", (5, 9)),
+    (_LOOP % "x = 1.0;", UnsupportedConstructError, "scalar assignment is not supported", (5, 3)),
+    (_LOOP % "A[i] += 1.0;", UnsupportedConstructError,
+     "compound assignment '+=' is not supported", (5, 8)),
+    (_LOOP % "A[i] == 1.0;", ParseError, "expected '='", (5, 8)),
+    (_LOOP % "A[i] = A[i] / 2.0;", UnsupportedConstructError,
+     "division is not supported in the input language", (5, 15)),
+    ("int N;\n#pragma scop\n#pragma scop\n#pragma endscop\n", ParseError,
+     "nested #pragma scop", (3, 1)),
+    ("int N;\n#pragma endscop\n", ParseError, "unmatched #pragma endscop", (2, 1)),
+    (_SCOP % "S1: A[0] = 1.0;\nS1: A[1] = 2.0;", ParseError,
+     "duplicate statement name in SCoP scop0", None),
+]
+
+
+@pytest.mark.parametrize("src, cls, message, pos", _REJECTS)
+def test_pc_rejects(src, cls, message, pos):
+    # the grammar that `.pc` shares with `.air` text keeps each message and
+    # position; the duplicate label is the SCoP builder's
+    with pytest.raises(cls) as err:
+        build_scop(fe.parse_program(src))
+    assert type(err.value) is cls
+    assert str(err.value) == ("%d:%d: " % pos if pos else "") + message
+    assert (err.value.line, err.value.col) == (pos or (None, None))
 
 
 class TestTrees:

@@ -108,18 +108,18 @@ class TestRunSource:
 
 class TestTrace:
     def test_source_order_at_n3(self):
-        assert interp.trace(stencil_prog(), {"N": 3}) == \
+        assert interp.run(stencil_prog(), {"N": 3}, trace=True).trace == \
             [("S1", (1, 1)), ("S1", (1, 2)), ("S1", (2, 1)), ("S1", (2, 2))]
 
     def test_empty_scop(self):
         prog = fe.parse_program("int N;\n#pragma scop\n#pragma endscop\n")
-        assert interp.trace(prog, {"N": 3}) == []
+        assert interp.run(prog, {"N": 3}, trace=True).trace == []
 
     def test_tiled_trace_same_multiset(self):
         prog = stencil_prog()
-        orig = interp.trace(prog, {"N": 13})
+        orig = interp.run(prog, {"N": 13}, trace=True).trace
         scop = tile(build_scop(prog)[0], TilingSpec((4, 4)))
-        tiled = interp.trace(scop, {"N": 13})
+        tiled = interp.run(scop, {"N": 13}, trace=True).trace
         assert sorted(tiled) == sorted(orig)
         assert tiled != orig  # the order genuinely changed
 
@@ -132,8 +132,9 @@ class TestTrace:
             prog = fe.parse_program(source)
             scop = build_scop(prog)[0]
             for n in (2, 6):
-                assert interp.trace(scop, {s: n for s in scop.symbols}) == \
-                    interp.trace(prog, {s: n for s in prog.symbols}), source
+                syms = {s: n for s in scop.symbols}
+                assert interp.run(scop, syms, trace=True).trace == \
+                    interp.run(prog, syms, trace=True).trace, source
 
 
 class TestShuffle:
@@ -141,7 +142,7 @@ class TestShuffle:
         prog = stencil_prog()
         scop = wavefront_parallelize(tile(build_scop(prog)[0], TilingSpec((4, 4))))
         m = simplify_bounds(generate_loops(scop))
-        t1 = interp.trace(m, {"N": 13})
+        t1 = interp.run(m, {"N": 13}, trace=True).trace
         a = interp.run(m, {"N": 13}, corpus.init_arrays(prog, {"N": 13}),
                        trace=True, shuffle_seed=42).trace
         b = interp.run(m, {"N": 13}, corpus.init_arrays(prog, {"N": 13}),
@@ -157,7 +158,7 @@ class TestShuffle:
         hp = hls.insert_directives(hls.partition(m, scop.name))
         traces = [interp.run(rep, {"N": 13}, trace=True, shuffle_seed=3).trace
                   for rep in (m, hls.lower_to_standard(m), hp)]
-        assert traces[0] != interp.trace(m, {"N": 13})
+        assert traces[0] != interp.run(m, {"N": 13}, trace=True).trace
         assert traces[1] == traces[0] and traces[2] == traces[0]
 
     def test_parallel_loop_shuffle_preserves_results(self):

@@ -224,6 +224,19 @@ class TestVerify:
                           "  stmt S1(i) { A[i] = 1.0; }\n  stmt S1(i) { A[i] = 2.0; }\n}\n")
         assert verify_ir(module) == ["duplicate stmt @S1"]
 
+    def test_extent_naming_no_symbol_diagnostic(self):
+        # the emitted kernel would declare `double A[M]` with no `M` in scope
+        module = parse_ir("module {\n  symbol N\n  array A : float64 [N][M]\n}\n")
+        assert verify_ir(module) == ["array A: extent 'M' is not a declared symbol"]
+
+    def test_subscript_count_diagnostic(self):
+        # `A[i][i]` on a 1-D `A` is C that cc rejects
+        module = parse_ir("module {\n  symbol N\n  array A : float64 [N]\n  array B : float64 [N]\n"
+                          "  stmt S1(i) { A[i][i] = B[i] + A[i][0][1]; }\n}\n")
+        assert verify_ir(module) == [
+            "stmt S1: array A of rank 1 has 2 subscripts",
+            "stmt S1: array A of rank 1 has 3 subscripts"]
+
     def test_out_of_scope_operand_diagnostic(self):
         m0 = AffineMap(0, 0, (Const(0),))
         m1 = AffineMap(1, 0, (DimRef(0),))

@@ -22,8 +22,10 @@ input.  Each input of
 REJECT_CASES (`.pc` or `.air`) runs with its flags, so every message of a
 rejected loop nest, declaration list, stmt list or loopless tiling is
 pinned, as is each typed error of the SCoP builder (a non-affine loop
-bound, an undeclared array, a rank mismatch, an unknown identifier), and
-so is each interpreter error of an out-of-bounds read, an
+bound, an undeclared array, a rank mismatch, an unknown identifier), each
+`verify_ir` diagnostic of an extent that names no symbol and of a
+subscript count that is not the array's rank, each error kind of affine
+map and set text, and each interpreter error of an out-of-bounds read, an
 out-of-bounds write and a float stored into an int array (`run`, in both
 input kinds).  Every
 `.pc` input and every `.air` module also runs once as `run --trace
@@ -101,6 +103,22 @@ _RUN_REJECTS = (  # (input name, B's element type, the statement that fails)
 REJECT_CASES += tuple(case for name, elem, stmt in _RUN_REJECTS for case in (
     (name + ".pc", _PC_LOOP % (elem, stmt), _RUN),
     (name + ".air", _AIR_LOOP % (elem, stmt), _RUN)))
+_AIR_OK = _AIR_LOOP % ("float", "B[i] = A[i] + 1.0")
+REJECT_CASES += (
+    ("unbound-extent.air", _AIR_OK.replace("float64 [N]\n  stmt", "float64 [M]\n  stmt"),
+     "--emit=hls-c"),
+    ("subscript-count.air", _AIR_LOOP % ("float", "B[i] = A[i][i] + 1.0"), "--emit=hls-c"),
+)
+REJECT_CASES += tuple(("%s.air" % name, "#bad = %s\n" % text + _AIR_OK, "--emit=hls-c")
+                      for name, text in (  # one of each error kind of map and set text
+    ("non-affine-product-map", "affine_map<(d0, d1) -> (d0 * d1)>"),
+    ("bad-divisor-map", "affine_map<(d0)[s0] -> (d0 floordiv s0)>"),
+    ("unknown-identifier-map", "affine_map<(d0) -> (d0 + x)>"),
+    ("unexpected-token-map", "affine_map<(d0) -> (d0 + )>"),
+    ("division-map", "affine_map<(d0) -> (d0 / 2)>"),
+    ("keyword-dim-map", "affine_map<(int) -> (0)>"),
+    ("bad-comparison-set", "integer_set<(d0) : (d0 = 0)>"),
+))
 
 
 def programs():
