@@ -268,8 +268,10 @@ class _Parser:
         ``(op, lhs, rhs)``."""
         lhs = self.expr()
         k, op, p = self.cur.next()
+        if op == "=":
+            raise UnsupportedConstructError("unsupported comparison '='", *p)
         if op not in ("<", "<=", ">", ">=", "=="):
-            raise UnsupportedConstructError("unsupported comparison %r" % op, *p)
+            raise ParseError("expected comparison, found %r" % (op,), *p)
         return op, lhs, self.expr()
 
     def assign(self):

@@ -98,30 +98,30 @@ def _build_scop(program, region, name, context):
     stmts = []
     names = stmt_names(region)
 
-    def walk(nodes, loops, conds, path, pos):
-        # path: the textual-position constants of the enclosing loops; pos
-        # counts the positions in the innermost body, shared by its `if` blocks
-        vars_ = [v for v, _, _ in loops]
+    def walk(nodes, vars_, cons, sched, pos):
+        # cons: the domain rows of the enclosing loops and `if`s; sched: the
+        # schedule prefix (c0, i0, c1, i1, ...); pos counts the positions in
+        # the innermost loop body, shared by its `if` blocks
         for node in nodes:
             if isinstance(node, fe.For):
+                d = DimRef(len(vars_))
                 try:
                     lb = from_tree(node.lower, vars_, symbols)
                     ub = from_tree(node.upper, vars_, symbols) - 1  # inclusive
                 except NonAffineError as e:
                     raise NonAffineError("loop bound of %r: %s" % (node.var, e))
-                walk(node.body, loops + [(node.var, lb, ub)], conds, path + [next(pos)],
-                     itertools.count())
+                walk(node.body, vars_ + [node.var],
+                     cons + [(d - lb, INEQ), (ub - d, INEQ)],
+                     sched + [Const(next(pos)), d], itertools.count())
             elif isinstance(node, fe.If):
                 cond = (node.op, node.lhs, node.rhs)
-                walk(node.then, loops, conds + from_condition(cond, vars_, symbols), path, pos)
+                walk(node.then, vars_, cons + from_condition(cond, vars_, symbols), sched, pos)
                 if node.els:
-                    walk(node.els, loops, conds + from_condition(cond, vars_, symbols, True),
-                         path, pos)
+                    walk(node.els, vars_, cons + from_condition(cond, vars_, symbols, True),
+                         sched, pos)
             elif isinstance(node, fe.Assign):
-                stmts.append(_build_stmt(program, node, names[id(node)], loops, conds,
-                                         path + [next(pos)]))
-            elif isinstance(node, (fe.ScopBegin, fe.ScopEnd)):
-                raise ParseError("nested #pragma scop", *node.pos)
+                stmts.append(_build_stmt(program, node, names[id(node)], vars_, cons,
+                                         sched + [Const(next(pos))]))
             else:
                 raise NonAffineError("unsupported statement inside SCoP")
 
@@ -137,26 +137,14 @@ def _build_scop(program, region, name, context):
     return Scop(name, symbols, context, tuple(stmts), arrays=program.arrays)
 
 
-def _build_stmt(program, assign, name, loops, conds, path):
-    """The statement `assign` under `loops` and `conds`; `path` holds its
-    textual-position constants c0..cd, which interleave with the loop dims
-    into its 2d+1 schedule (c0, i0, c1, ..., i(d-1), cd)."""
+def _build_stmt(program, assign, name, vars_, cons, sched):
+    """The statement `assign` under the loops `vars_`, outermost first, with
+    the domain rows `cons` and the 2d+1 schedule `sched`."""
     symbols = program.symbols
-    vars_ = [v for v, _, _ in loops]
-    cons = []
-    for k, (v, lb, ub) in enumerate(loops):
-        # lb/ub were converted in the scope of the outer loops only; their
-        # dim indices already match this statement's dim space
-        cons.append((DimRef(k) - lb, INEQ))
-        cons.append((ub - DimRef(k), INEQ))
-    cons.extend(conds)
-    domain = IntegerSet.from_constraints(len(loops), len(symbols), cons)
+    domain = IntegerSet.from_constraints(len(vars_), len(symbols), cons)
 
     def access_map(ref):
-        decl = None
-        for a in program.arrays:
-            if a.name == ref.array:
-                decl = a
+        decl = next((a for a in program.arrays if a.name == ref.array), None)
         if decl is None:
             raise NonAffineError("undeclared array %r" % ref.array)
         if len(ref.subs) != len(decl.extents):
@@ -165,7 +153,7 @@ def _build_stmt(program, assign, name, loops, conds, path):
             exprs = tuple(from_tree(s, vars_, symbols) for s in ref.subs)
         except NonAffineError as e:
             raise NonAffineError("subscript of %s: %s" % (ref.array, e))
-        return (ref.array, AffineMap(len(loops), len(symbols), exprs))
+        return (ref.array, AffineMap(len(vars_), len(symbols), exprs))
 
     writes = (access_map(assign.ref),)
     reads = []
@@ -178,19 +166,15 @@ def _build_stmt(program, assign, name, loops, conds, path):
             if e.ident not in vars_ and e.ident not in symbols:
                 raise NonAffineError("unknown identifier %r" % e.ident)
 
-    sched = []
-    for k, c in enumerate(path[:-1]):
-        sched += [Const(c), DimRef(k)]
-    sched.append(Const(path[-1]))
     return PolyStmt(
         name=name,
         domain=domain,
         dim_names=tuple(vars_),
-        schedule=AffineMap(len(loops), len(symbols), tuple(sched)),
+        schedule=AffineMap(len(vars_), len(symbols), tuple(sched)),
         writes=writes,
         reads=tuple(reads),
         body=assign,
-        body_dims=tuple(range(len(loops))),
+        body_dims=tuple(range(len(vars_))),
     )
 
 

@@ -7,9 +7,11 @@ device in the host/kernel split).
 """
 
 import random
+import subprocess
 from dataclasses import dataclass
 
-from polyhls import frontend as fe
+from polyhls import frontend as fe, hls, interp
+from polyhls.affine import eval_expr
 
 
 @dataclass(frozen=True)
@@ -314,3 +316,50 @@ def init_arrays(program, symbols, seed=0):
         else:
             init[a.name] = [rng.uniform(-1.0, 1.0) for _ in range(size)]
     return init
+
+
+def scheduled_trace(scop, n):
+    """(statement, original-dim point) of every instance of `scop` with
+    each symbol at `n`, in schedule order: the domain points that pass each
+    statement's guard, sorted by their schedule times.  A reference scan
+    kept apart from the interpreter."""
+    syms = (n,) * len(scop.symbols)
+    out = []
+    for s in scop.statements:
+        for p in s.domain.points(syms):
+            if s.guard is not None and not s.guard.contains(p, syms):
+                continue
+            time = tuple(eval_expr(r, p, syms) for r in s.schedule.results)
+            out.append((time, s.name, tuple(p[d] for d in s.body_dims)))
+    out.sort(key=lambda t: t[0])
+    return [(name, pt) for _, name, pt in out]
+
+
+def build_c(tmp_path, name, p):
+    """Path of the executable that cc builds from the HLS C of `p`."""
+    cfile = tmp_path / (name + ".c")
+    cfile.write_text(hls.emit_c(p))
+    exe = str(tmp_path / name)
+    subprocess.run(["cc", "-std=c99", "-O1", "-o", exe, str(cfile)], check=True)
+    return exe
+
+
+def c_mismatches(exe, p, symbols, init):
+    """Names of the output arrays on which `exe`, built from `p`, differs
+    bit for bit (by `repr`, so -0.0 is not 0.0) from `interp.run` of `p`
+    under the bindings `symbols`."""
+    want = interp.run(p, symbols, init)
+    kinds = dict(p.transfers)
+    stdin = [repr(v) for a in p.arrays if kinds[a.name] in ("in", "inout")
+             for v in init[a.name]]
+    r = subprocess.run([exe] + [str(symbols[s]) for s in p.symbols], input="\n".join(stdin),
+                       capture_output=True, text=True, check=True)
+    toks = iter(r.stdout.split())
+    bad = []
+    for a in p.arrays:
+        if kinds[a.name] in ("out", "inout"):
+            conv = int if a.elem == fe.INT64 else float.fromhex
+            got = [conv(next(toks)) for _ in want.arrays[a.name].data]
+            if repr(got) != repr(want.arrays[a.name].data):
+                bad.append(a.name)
+    return bad

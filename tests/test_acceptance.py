@@ -229,36 +229,6 @@ def test_criterion_7_directive_rules():
                   "constant trip within the policy limit (3 cases)")
 
 
-def _build_c(tmp_path, name, p):
-    """Path of the executable that cc builds from the HLS C of `p`."""
-    cfile = tmp_path / (name + ".c")
-    cfile.write_text(hls.emit_c(p))
-    exe = str(tmp_path / name)
-    subprocess.run(["cc", "-std=c99", "-O1", "-o", exe, str(cfile)], check=True)
-    return exe
-
-
-def _c_mismatches(exe, p, symbols, init):
-    """Names of the output arrays on which `exe`, built from `p`, differs
-    bit for bit (by `repr`, so -0.0 is not 0.0) from `interp.run` of `p`
-    under the bindings `symbols`."""
-    want = interp.run(p, symbols, init)
-    kinds = dict(p.transfers)
-    stdin = [repr(v) for a in p.arrays if kinds[a.name] in ("in", "inout")
-             for v in init[a.name]]
-    r = subprocess.run([exe] + [str(symbols[s]) for s in p.symbols], input="\n".join(stdin),
-                       capture_output=True, text=True, check=True)
-    toks = iter(r.stdout.split())
-    bad = []
-    for a in p.arrays:
-        if kinds[a.name] in ("out", "inout"):
-            conv = int if a.elem == fe.INT64 else float.fromhex
-            got = [conv(next(toks)) for _ in want.arrays[a.name].data]
-            if repr(got) != repr(want.arrays[a.name].data):
-                bad.append(a.name)
-    return bad
-
-
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 def test_criterion_8_external_differential_execution(tmp_path):
     n = 8
@@ -269,8 +239,8 @@ def test_criterion_8_external_differential_execution(tmp_path):
         module = simplify_bounds(generate_loops(scop))
         p = hls.insert_directives(hls.partition(module, scop.name))
         init = corpus.init_arrays(prog, {s: n for s in prog.symbols}, seed=n)
-        for name in _c_mismatches(_build_c(tmp_path, entry.name, p), p,
-                                  {s: n for s in p.symbols}, init):
+        for name in corpus.c_mismatches(corpus.build_c(tmp_path, entry.name, p), p,
+                                        {s: n for s in p.symbols}, init):
             ok = False
             print("mismatch:", entry.name, name)
     report(ok, 8, "emitted HLS C compiled with cc matches the interpreter "
@@ -290,12 +260,12 @@ def test_transformed_c_matches_interpreter(tmp_path):
             scop = pipe(build_scop(prog)[0], entry.depth)
             p = hls.insert_directives(hls.partition(simplify_bounds(generate_loops(scop)),
                                                     scop.name))
-            exe = _build_c(tmp_path, "%s-%s" % (entry.name, pname), p)
+            exe = corpus.build_c(tmp_path, "%s-%s" % (entry.name, pname), p)
             for n in (3, 6, 9):
                 symbols = {s: n for s in prog.symbols}
                 init = corpus.init_arrays(prog, symbols, seed=n)
                 bad += [(entry.name, pname, n, name)
-                        for name in _c_mismatches(exe, p, symbols, init)]
+                        for name in corpus.c_mismatches(exe, p, symbols, init)]
                 checked += 1
     assert bad == [] and checked == 3 * sum(2 + (e.depth >= 2) for e in corpus.ALL)
 
@@ -310,7 +280,7 @@ def test_strided_kernel_matches_on_every_level(tmp_path):
         module = simplify_bounds(generate_loops(scop))
         p = hls.insert_directives(hls.partition(module, scop.name))
         reps = (scop, parse_ir(print_ir(module)), hls.lower_to_standard(module), p)
-        exe = _build_c(tmp_path, "strided-" + pname, p) if shutil.which("cc") else None
+        exe = corpus.build_c(tmp_path, "strided-" + pname, p) if shutil.which("cc") else None
         for n in (3, 6, 9):
             symbols = {"N": n, "M": 2 * n}
             init = corpus.init_arrays(prog, symbols, seed=n)
@@ -320,7 +290,7 @@ def test_strided_kernel_matches_on_every_level(tmp_path):
                 bad += [(pname, n, type(rep).__name__, a) for a in want
                         if repr(got[a].data) != repr(want[a].data)]
             if exe is not None:
-                bad += [(pname, n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
+                bad += [(pname, n, "C", a) for a in corpus.c_mismatches(exe, p, symbols, init)]
             checked += 1
     assert bad == [] and checked == 6
 
@@ -334,7 +304,7 @@ def test_guarded_nest_keeps_its_place_on_every_level(tmp_path):
     assert [type(op) for op in module.body] == [For, For]
     p = hls.insert_directives(hls.partition(module, scop.name))
     reps = (scop, parse_ir(print_ir(module)), hls.lower_to_standard(module), p)
-    exe = _build_c(tmp_path, "guarded-nest", p) if shutil.which("cc") else None
+    exe = corpus.build_c(tmp_path, "guarded-nest", p) if shutil.which("cc") else None
     bad = []
     for n in (1, 3, 6, 9):  # at N = 1 the `if` skips the first nest
         symbols = {"N": n}
@@ -345,7 +315,7 @@ def test_guarded_nest_keeps_its_place_on_every_level(tmp_path):
             bad += [(n, type(rep).__name__, a) for a in want
                     if repr(got[a].data) != repr(want[a].data)]
         if exe is not None:
-            bad += [(n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
+            bad += [(n, "C", a) for a in corpus.c_mismatches(exe, p, symbols, init)]
     assert bad == []
     with pytest.raises(IllegalTilingError, match=r"flow S1\(i=1\) -> S2\(i=0\) at N=2$"):
         tile(scop, TilingSpec((4,)))
@@ -357,7 +327,7 @@ def test_div_bound_maps_match_on_every_level(tmp_path):
     module = parse_ir(corpus.DIV_BOUNDS_AIR)
     p = hls.insert_directives(hls.partition(module, "div_bounds"))
     reps = (hls.lower_to_standard(module), p)
-    exe = _build_c(tmp_path, "div-bounds", p) if shutil.which("cc") else None
+    exe = corpus.build_c(tmp_path, "div-bounds", p) if shutil.which("cc") else None
     bad = []
     for n in (3, 6, 9):
         symbols, rng = {"N": n}, random.Random(n)
@@ -369,7 +339,7 @@ def test_div_bound_maps_match_on_every_level(tmp_path):
             bad += [(n, type(rep).__name__, a) for a in want
                     if repr(got[a].data) != repr(want[a].data)]
         if exe is not None:
-            bad += [(n, "C", a) for a in _c_mismatches(exe, p, symbols, init)]
+            bad += [(n, "C", a) for a in corpus.c_mismatches(exe, p, symbols, init)]
     assert bad == []
 
 
@@ -387,7 +357,7 @@ def test_unary_minus_keeps_the_sign_of_zero(tmp_path):
     signs = {name: [math.copysign(1, v) for v in interp.run(rep, symbols, init).arrays["B"].data]
              for name, rep in reps.items()}
     if shutil.which("cc"):
-        r = subprocess.run([_build_c(tmp_path, "negate", p), "2"], input="0.0 2.0",
+        r = subprocess.run([corpus.build_c(tmp_path, "negate", p), "2"], input="0.0 2.0",
                            capture_output=True, text=True, check=True)
         signs["C"] = [math.copysign(1, float.fromhex(t)) for t in r.stdout.split()]
     assert signs == {rep: [-1, -1] for rep in signs}

@@ -117,8 +117,8 @@ class TestTextGrammar:
         ("affine_map<(d0) -> (d0))>", ParseError, "expected '>', found ')'", (1, 24)),
         ("integer_set<(d0) : (d0 = 0)>", UnsupportedConstructError,
          "unsupported comparison '='", (1, 24)),
-        ("integer_set<(d0) : (d0 >= 0, d0 + 1)>", UnsupportedConstructError,
-         "unsupported comparison ')'", (1, 36)),
+        ("integer_set<(d0) : (d0 >= 0, d0 + 1)>", ParseError,
+         "expected comparison, found ')'", (1, 36)),
         ("integer_set<(d0) : (d0 != 0)>", ParseError, "unexpected character '!'", (1, 24)),
         ("integer_set<(d0)[s0] : (s0 - d0 >= d0 * s0)>", ParseError,
          "non-affine product 'd0 * s0'", (1, 25)),

@@ -14,19 +14,6 @@ from polyhls.transforms import (TilingSpec, sub_bounding_box_tile, tile,
 import corpus
 
 
-def scheduled_trace(scop, n):
-    syms = (n,) * len(scop.symbols)
-    out = []
-    for s in scop.statements:
-        for p in s.domain.points(syms):
-            if s.guard is not None and not s.guard.contains(p, syms):
-                continue
-            time = tuple(eval_expr(r, p, syms) for r in s.schedule.results)
-            out.append((time, s.name, tuple(p[d] for d in s.body_dims)))
-    out.sort(key=lambda t: t[0])
-    return [(name, pt) for _, name, pt in out]
-
-
 PIPELINES = {
     "none": lambda s, d: s,
     "tile": lambda s, d: tile(s, TilingSpec((4,) * min(2, d))),
@@ -129,7 +116,7 @@ class TestTiledBounds:
                 scop = pipe(build_scop(prog)[0], entry.depth)
                 m = generate_loops(scop)
                 for n in (2, 5, 8):
-                    want = scheduled_trace(scop, n)
+                    want = corpus.scheduled_trace(scop, n)
                     got = interp.run(m, {s: n for s in scop.symbols}, trace=True).trace
                     assert got == want, (entry.name, pname, n)
 

@@ -149,6 +149,7 @@ _REJECTS = [  # (source, error class, message, (line, col) or None)
      "only incrementing unit-step loops are supported", (4, 21)),
     (_LOOP % "if (i = 0) A[i] = 1.0;", UnsupportedConstructError,
      "unsupported comparison '='", (5, 9)),
+    (_LOOP % "if (i) A[i] = 1.0;", ParseError, "expected comparison, found ')'", (5, 8)),
     (_LOOP % "x = 1.0;", UnsupportedConstructError, "scalar assignment is not supported", (5, 3)),
     (_LOOP % "A[i] += 1.0;", UnsupportedConstructError,
      "compound assignment '+=' is not supported", (5, 8)),

@@ -1,8 +1,6 @@
 """HLS lowering tests: lowering in place, partition, directives, C emission."""
 
-import os
 import shutil
-import subprocess
 
 import pytest
 
@@ -213,25 +211,13 @@ class TestIfElse:
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
 class TestDifferentialExecution:
-    def compile_and_run(self, text, argv, stdin, tmp_path):
-        cfile = tmp_path / "k.c"
-        cfile.write_text(text)
-        exe = str(tmp_path / "k")
-        subprocess.run(["cc", "-std=c99", "-O1", "-o", exe, str(cfile)], check=True)
-        r = subprocess.run([exe] + argv, input=stdin, capture_output=True,
-                           text=True, check=True)
-        return r.stdout.split()
-
     def test_stencil_bit_exact(self, tmp_path):
         scop, m = module_for(corpus.STENCIL2D, "wavefront")
         p = hls.insert_directives(hls.partition(m, scop.name))
         n = 8
         prog = fe.parse_program(corpus.STENCIL2D.source)
         init = corpus.init_arrays(prog, {"N": n}, seed=21)
-        want = interp.run(p, {"N": n}, init).arrays["A"].data
-        data = "\n".join(repr(v) for v in init["A"])
-        toks = self.compile_and_run(hls.emit_c(p), [str(n)], data, tmp_path)
-        assert [float.fromhex(t) for t in toks] == want
+        assert corpus.c_mismatches(corpus.build_c(tmp_path, "k", p), p, {"N": n}, init) == []
 
     def test_floord_on_negatives(self, tmp_path):
         # a 1-D loop whose bound arithmetic goes negative at small N
@@ -244,28 +230,26 @@ class TestDifferentialExecution:
         m = parse_ir(text)
         p = hls.insert_directives(hls.partition(m))
         n = 3  # lb = floord(-6, 4) = -2
-        want = interp.run(p, {"N": n}, {"A": [5] * 8}).arrays["A"].data
-        data = "\n".join("5" for _ in range(8))
-        toks = self.compile_and_run(hls.emit_c(p), [str(n)], data, tmp_path)
-        assert [int(t) for t in toks] == want
-        assert want[0] == 6  # i = -2 executed: floord rounded toward -inf
+        init = {"A": [5] * 8}
+        assert corpus.c_mismatches(corpus.build_c(tmp_path, "k", p), p, {"N": n}, init) == []
+        # i = -2 executed: floord rounded toward -inf
+        assert interp.run(p, {"N": n}, init).arrays["A"].data[0] == 6
 
     def test_unrolled_loop_bit_exact(self, tmp_path):
         p = hls.insert_directives(hls.partition(parse_ir(CONST_TRIP_LOOP)))
-        text = hls.emit_c(p)
-        assert "#pragma HLS unroll factor=4" in text
-        init = [0.25 * k for k in range(6)]
-        want = interp.run(p, {"N": 6}, {"A": init}).arrays["A"].data
-        toks = self.compile_and_run(text, ["6"], "\n".join(map(repr, init)), tmp_path)
-        assert [float.fromhex(t) for t in toks] == want
+        assert "#pragma HLS unroll factor=4" in hls.emit_c(p)
+        init = {"A": [0.25 * k for k in range(6)]}
+        assert corpus.c_mismatches(corpus.build_c(tmp_path, "k", p), p, {"N": 6}, init) == []
 
     def test_if_else_matches_reference(self, tmp_path):
-        text = hls.emit_c(hls.insert_directives(hls.partition(parse_ir(IF_ELSE))))
-        assert "} else {" in text
+        p = hls.insert_directives(hls.partition(parse_ir(IF_ELSE)))
+        assert "} else {" in hls.emit_c(p)
+        exe = corpus.build_c(tmp_path, "k", p)
         for n in (1, 4, 7):
             a = [5 * k - 3 for k in range(n)]
-            toks = self.compile_and_run(text, [str(n)], "\n".join(map(str, a)), tmp_path)
-            assert [int(t) for t in toks] == if_else_reference(a), n
+            assert corpus.c_mismatches(exe, p, {"N": n}, {"A": a}) == [], n
+            assert interp.run(p, {"N": n}, {"A": a}).arrays["A"].data == \
+                if_else_reference(a), n
 
     def test_right_nested_float_sum_bit_exact(self, tmp_path):
         # float + does not associate: B + (C + D) is 0.0, (B + C) + D is 1.0
@@ -276,8 +260,5 @@ class TestDifferentialExecution:
         p = hls.insert_directives(hls.partition(
             simplify_bounds(generate_loops(scop)), scop.name))
         init = {"B": [1e16], "C": [-1e16], "D": [1.0]}
-        want = interp.run(p, {"N": 1}, init).arrays["A"].data
-        assert want == [0.0]
-        data = "\n".join(repr(init[a][0]) for a in ("B", "C", "D"))
-        toks = self.compile_and_run(hls.emit_c(p), ["1"], data, tmp_path)
-        assert [float.fromhex(t) for t in toks] == want
+        assert interp.run(p, {"N": 1}, init).arrays["A"].data == [0.0]
+        assert corpus.c_mismatches(corpus.build_c(tmp_path, "k", p), p, {"N": 1}, init) == []

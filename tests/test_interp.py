@@ -1,5 +1,7 @@
 """Interpreter (equivalence oracle) tests."""
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -106,6 +108,48 @@ class TestRunSource:
         assert a == b
 
 
+def _random_region(rng):
+    """A `.pc` region whose outer loop body holds sibling loops, an
+    `if`/`else` followed by a statement or a loop, and an `if`-wrapped loop
+    followed by a loop, in random order, two loops deep at most and with
+    `if`s nested in `if` blocks: the statement positions that one counter
+    per loop body, shared by its `if` blocks, must get right."""
+    fresh = ("v%d" % k for k in itertools.count())
+    stmt = "A[0] = A[0] + 1.0;\n"
+
+    def cond(outer, negatable):
+        op = rng.choice(("<", "<=", ">", ">=") + (() if negatable else ("==",)))
+        return "if (%s %s %s)" % (rng.choice(outer), op, rng.choice(("1", "2", "N - 2")))
+
+    def loop(outer, depth):
+        v = next(fresh)
+        return "for (%s = %s; %s < N; %s++) {\n%s}\n" % (
+            v, rng.choice(["0"] + outer), v, v, body(outer + [v], depth - 1))
+
+    def sibling_loops(outer, depth):
+        return loop(outer, depth) + loop(outer, depth)
+
+    def if_else(outer, depth):
+        return "%s {\n%s} else {\n%s}\n%s" % (
+            cond(outer, True), body(outer, depth), body(outer, depth),
+            loop(outer, depth) if depth and rng.random() < 0.5 else stmt)
+
+    def if_loop(outer, depth):
+        return cond(outer, False) + " " + loop(outer, depth) + loop(outer, depth)
+
+    shapes = (sibling_loops, if_else, if_loop)
+
+    def body(outer, depth):
+        if depth and rng.random() < 0.4:
+            return rng.choice(shapes)(outer, depth)
+        return stmt * rng.randint(1, 2)
+
+    v = next(fresh)
+    outer = [shape([v], 1) for shape in rng.sample(shapes, 3)]
+    return "int N;\nfloat A[N];\n#pragma scop\nfor (%s = 0; %s < N; %s++) {\n%s}\n" \
+        "#pragma endscop\n" % (v, v, v, "".join(outer))
+
+
 class TestTrace:
     def test_source_order_at_n3(self):
         assert interp.run(stencil_prog(), {"N": 3}, trace=True).trace == \
@@ -126,12 +170,15 @@ class TestTrace:
     def test_scop_trace_equals_source_trace(self):
         # TWO_NEST's second nest runs j outside i: S2's coordinates are
         # (j, i), whatever order the first nest used; GUARDED_NEST's first
-        # nest is under an `if`
+        # nest is under an `if`; the random regions order statements across
+        # sibling loops and `if` blocks
+        rng = random.Random(25)
         for source in [entry.source
-                       for entry in corpus.ALL + (corpus.TWO_NEST, corpus.GUARDED_NEST)]:
+                       for entry in corpus.ALL + (corpus.TWO_NEST, corpus.GUARDED_NEST)] \
+                + [_random_region(rng) for _ in range(100)]:
             prog = fe.parse_program(source)
             scop = build_scop(prog)[0]
-            for n in (2, 6):
+            for n in range(2, 7):
                 syms = {s: n for s in scop.symbols}
                 assert interp.run(scop, syms, trace=True).trace == \
                     interp.run(prog, syms, trace=True).trace, source

@@ -17,18 +17,6 @@ def stencil():
     return build_scop(fe.parse_program(corpus.STENCIL2D.source))[0]
 
 
-def scheduled_points(scop, n):
-    """Domain points in schedule order, projected to the original dims."""
-    syms = (n,) * len(scop.symbols)
-    out = []
-    for s in scop.statements:
-        for p in s.domain.points(syms):
-            time = tuple(eval_expr(r, p, syms) for r in s.schedule.results)
-            out.append((time, s.name, tuple(p[d] for d in s.body_dims)))
-    out.sort(key=lambda t: t[0])
-    return [(name, pt) for _, name, pt in out]
-
-
 class TestTile:
     def test_tile_constraints(self):
         scop = tile(stencil(), TilingSpec((32, 32)))
@@ -67,7 +55,7 @@ class TestTile:
         prog = fe.parse_program(corpus.STENCIL2D.source)
         orig = build_scop(prog)[0]
         tiled = tile(build_scop(prog)[0], TilingSpec((1, 1)))
-        assert scheduled_points(tiled, 6) == scheduled_points(orig, 6)
+        assert corpus.scheduled_trace(tiled, 6) == corpus.scheduled_trace(orig, 6)
 
     def test_illegal_band_rejected(self):
         # reversal-style dependence: distance (1, -1) is negative in j

@@ -22,7 +22,8 @@ input.  Each input of
 REJECT_CASES (`.pc` or `.air`) runs with its flags, so every message of a
 rejected loop nest, declaration list, stmt list or loopless tiling is
 pinned, as is each typed error of the SCoP builder (a non-affine loop
-bound, an undeclared array, a rank mismatch, an unknown identifier), each
+bound, an undeclared array, a rank mismatch, an unknown identifier, the
+`else` of an equality test), a condition with no comparison, each
 `verify_ir` diagnostic of an extent that names no symbol and of a
 subscript count that is not the array's rank, each error kind of affine
 map and set text, and each interpreter error of an out-of-bounds read, an
@@ -87,6 +88,8 @@ REJECT_CASES += tuple((name + ".pc", _PC_NEST % (bound, stmt), "--dump=scop") fo
     ("undeclared-array", "N", "A[i] = C[i] + 1.0"),
     ("rank-mismatch", "N", "A[i][i] = 1.0"),
     ("unknown-identifier", "N", "A[i] = A[i] + x"),
+    ("else-of-equality", "N", "if (i == 0) A[i] = 1.0; else A[i] = 2.0"),
+    ("missing-comparison", "N", "if (i) A[i] = 1.0"),
 ))
 _RUN = "run --set N=4 --dump-arrays"
 _PC_LOOP = ("int N;\n%s B[N];\nfloat A[N];\n#pragma scop\nfor (i = 0; i < N; i++)\n"
@@ -118,6 +121,7 @@ REJECT_CASES += tuple(("%s.air" % name, "#bad = %s\n" % text + _AIR_OK, "--emit=
     ("division-map", "affine_map<(d0) -> (d0 / 2)>"),
     ("keyword-dim-map", "affine_map<(int) -> (0)>"),
     ("bad-comparison-set", "integer_set<(d0) : (d0 = 0)>"),
+    ("missing-comparison-set", "integer_set<(d0) : (d0 >= 0, d0 + 1)>"),
 ))
 
 
